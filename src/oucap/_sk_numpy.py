@@ -2,7 +2,8 @@
 
 Mirrors oucap._sk_core exactly: same draw layout, same arithmetic order
 (left-associated sums, no fused operations), so the two backends produce
-bit-identical trajectories on IEEE-754 hardware.
+bit-identical trajectories on IEEE-754 hardware.  Its per-step loop holds
+the GIL, so simulate runs its batches on the calling thread.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ The compiled extension (oucap._sk_core, built from Cython) is preferred when
 importable; otherwise the pure-numpy twin is used.  Both implement the same
 ``filter_batch`` contract with identical arithmetic order, so swapping them
 never changes results.  ``OUCAP_BACKEND=cython|numpy`` forces the choice.
+Only the compiled kernel releases the GIL, so only its batches gain from
+worker threads (``releases_gil``); numpy batches run on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,8 +45,16 @@ def get_backend(name: str | None = None):
     raise ValueError(f"unknown backend {name!r}; expected 'cython' or 'numpy'")
 
 
+def releases_gil(kern) -> bool:
+    """True when the backend module's filter_batch releases the GIL, so that
+    its batches can usefully run on a thread pool.  Only numpy holds it."""
+    return kern.NAME != "numpy"
+
+
 def thread_count(n_tasks: int) -> int:
-    """Worker threads to use: min(OUCAP_THREADS or cpu_count, n_tasks), >= 1."""
+    """Worker threads for a GIL-releasing kernel: min(OUCAP_THREADS or
+    cpu_count, n_tasks), >= 1.  A kernel that holds the GIL runs its batches
+    on the calling thread and never consults this."""
     raw = os.environ.get("OUCAP_THREADS", "").strip()
     if raw:
         try:

@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oucap",
         description="Feedback capacity of the OU-colored additive Gaussian "
         "noise channel: closed form, ODE and discrete limits, Monte Carlo, "
-        "and non-feedback spectra.  OUCAP_THREADS caps parallelism; "
+        "and non-feedback spectra.  OUCAP_THREADS caps the compiled kernel's "
+        "thread pool; "
         "OUCAP_BACKEND forces the simulation backend.",
     )
     parser.add_argument("--version", action="version", version=report.__version__)

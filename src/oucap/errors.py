@@ -41,5 +41,9 @@ class FilterDivergence(OucapError):
     """The simulation filter produced non-finite state."""
 
 
+class StationarityViolated(OucapError):
+    """A sampled stationarized-noise path failed its one-lag recursion identity."""
+
+
 class DegenerateNoise(OucapError):
     """An input band degenerates to zero width, leaving nothing to integrate."""

@@ -8,8 +8,9 @@ where Z0 is the zero-start OU component (exactly discretized) and zeta0 the
 stationary tail.  The receiver runs an exact Kalman filter on the augmented
 linear-Gaussian state (Theta0, Z0, zeta0); the OU transition noise is
 correlated with the measurement noise because both ride on the same Brownian
-motion, and the update uses a Joseph-form covariance recursion that stays
-positive semidefinite for any gain.
+motion.  The transition and its noise are diagonal, so the covariance
+recursion runs as scalar updates of the six distinct entries of the
+symmetric 3x3 covariance, O(1) work per step.
 
 Randomness contract (all stochastic entry points): trial i uses
 ``Generator(PCG64(SeedSequence(master_seed).spawn(trials)[i]))`` and draws,
@@ -35,7 +36,7 @@ from scipy.stats import norm
 from . import backends
 from .abel import OdeTrajectory
 from .channel import ChannelParams
-from .errors import FilterDivergence
+from .errors import FilterDivergence, StationarityViolated
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,8 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     t_{i+1}} B_i) with d_k = e^{-kappa t_k} (1-e^{-kappa delta})/kappa and
     m(x) = sqrt(2 kappa x / (1 - e^{-2 kappa x})); the tail weight makes the
     sequence exactly stationary.  Each path is verified against the one-lag
-    recursion Z~_{k+1} = e^{-kappa delta} Z~_k + B_{k+1} + theta(delta) B_k.
+    recursion Z~_{k+1} = e^{-kappa delta} Z~_k + B_{k+1} + theta(delta) B_k;
+    a path that fails it raises StationarityViolated.
     """
     n = cfg.steps
     delta = cfg.delta
@@ -200,7 +202,7 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
         resid = z[1:] - (u * z[:-1] + b[1:] + theta * b[:-1])
         scale = max(1.0, float(np.max(np.abs(z))))
         if not np.all(np.abs(resid) < 1e-9 * scale):
-            raise RuntimeError("stationarized-noise recursion identity violated")
+            raise StationarityViolated("stationarized-noise recursion identity violated")
         out[i] = z
     return out
 
@@ -225,52 +227,95 @@ def _gain_on_grid(traj: OdeTrajectory, params: ChannelParams, times: np.ndarray)
     return np.asarray(spline(np.minimum(times, traj.times[-1])))
 
 
-def _filter_coefficients(params: ChannelParams, cfg: SimConfig, amp: np.ndarray):
+def _filter_coefficients(params: ChannelParams, delta: float,
+                         h_amp: np.ndarray, h_zeta: np.ndarray):
     """Per-step filter gains and the deterministic variance curve.
+
+    The measurement row at step k is h = (h_amp[k], lam delta, h_zeta[k]) on
+    the state (Theta0, Z0, zeta0).  With F = diag(1, u, 1), Q = diag(0, sig2,
+    0), the transition/measurement noise cross-covariance c = (0, rho, 0),
+    b = F P h + c and s = h'P h + delta, the optimal gain b/s makes the
+    Joseph-form update collapse to P' = F P F + Q - b b'/s, which is run here
+    on the six distinct entries of the symmetric P.
 
     Returns (K0, K1, K2, inv_sqrt_s, var_theta) where var_theta[k] is the
     conditional variance of Theta0 given the first k increments.  Raises
-    FilterDivergence if the covariance recursion leaves the PSD cone.
+    FilterDivergence if an entry of the covariance turns non-finite or a
+    diagonal entry drops below -1e-9.
     """
-    n = cfg.steps
-    delta = cfg.delta
-    lam = params.lam
-    kappa = params.kappa
+    n = h_amp.shape[0]
     u, sig2, rho, _ = _step_constants(params, delta)
-    f_diag = np.array([1.0, u, 1.0])
-    q = np.diag([0.0, sig2, 0.0])
-    c = np.array([0.0, rho, 0.0])
-    p = np.diag([1.0, 0.0, 1.0 / (2.0 * kappa)])
+    uu = u * u
+    h1 = params.lam * delta
+    p00, p01, p02, p11, p12, p22 = 1.0, 0.0, 0.0, 0.0, 0.0, 1.0 / (2.0 * params.kappa)
     k0 = np.empty(n)
     k1 = np.empty(n)
     k2 = np.empty(n)
     inv_sqrt_s = np.empty(n)
     var_theta = np.empty(n + 1)
     var_theta[0] = 1.0
-    lam_delta = lam * delta
-    for k in range(n):
-        h = np.array([amp[k] * delta, lam_delta, lam * math.exp(-kappa * k * delta) * delta])
-        ph = p @ h
-        s = float(h @ ph) + delta
-        gain = (f_diag * ph + c) / s
-        m = f_diag[:, None] * p - np.outer(gain, ph)
-        p = (
-            m * f_diag[None, :]
-            - np.outer(m @ h, gain)
-            + q
-            + delta * np.outer(gain, gain)
-            - np.outer(c, gain)
-            - np.outer(gain, c)
-        )
-        p = 0.5 * (p + p.T)
-        if not np.all(np.isfinite(p)) or min(p[0, 0], p[1, 1], p[2, 2]) < -1e-9:
+    # memoryviews read and write Python floats without per-element numpy scalars
+    w0, w1, w2, w3, wv = (memoryview(a) for a in (k0, k1, k2, inv_sqrt_s, var_theta))
+    inf = math.inf
+    sqrt = math.sqrt
+    for k, (h0, h2) in enumerate(zip(memoryview(h_amp), memoryview(h_zeta))):
+        b0 = p00 * h0 + p01 * h1 + p02 * h2
+        ph1 = p01 * h0 + p11 * h1 + p12 * h2
+        b2 = p02 * h0 + p12 * h1 + p22 * h2
+        s = h0 * b0 + h1 * ph1 + h2 * b2 + delta
+        b1 = u * ph1 + rho
+        g0 = b0 / s
+        g1 = b1 / s
+        g2 = b2 / s
+        p00 -= g0 * b0
+        p01 = u * p01 - g0 * b1
+        p02 -= g0 * b2
+        p11 = uu * p11 + sig2 - g1 * b1
+        p12 = u * p12 - g1 * b2
+        p22 -= g2 * b2
+        # chained comparisons are False for NaN as well as out of range
+        if not (-1e-9 <= p00 < inf and -1e-9 <= p11 < inf and -1e-9 <= p22 < inf
+                and abs(p01) < inf and abs(p02) < inf and abs(p12) < inf):
             raise FilterDivergence(f"covariance lost positive semidefiniteness at step {k}")
-        k0[k] = gain[0]
-        k1[k] = gain[1]
-        k2[k] = gain[2]
-        inv_sqrt_s[k] = 1.0 / math.sqrt(s)
-        var_theta[k + 1] = p[0, 0]
+        w0[k] = g0
+        w1[k] = g1
+        w2[k] = g2
+        w3[k] = 1.0 / sqrt(s)
+        wv[k + 1] = p00
     return k0, k1, k2, inv_sqrt_s, var_theta
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """The scheme laid out on the simulation grid.
+
+    coeffs holds the filter_batch arguments that follow the per-trial noise:
+    (hA, hzeta, K0, K1, K2, inv_sqrt_s, u, sqrt_delta, lam_delta, c1, c2).
+    """
+
+    times: np.ndarray
+    log_amp: np.ndarray
+    amp: np.ndarray
+    var_theta: np.ndarray
+    zeta_scale: float
+    coeffs: tuple
+
+
+def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) -> _Scheme:
+    n = cfg.steps
+    delta = cfg.delta
+    times = np.arange(n + 1) * delta
+    log_amp = _gain_on_grid(traj, params, times)
+    amp = np.exp(log_amp)
+    h_amp = amp[:n] * delta
+    h_zeta = params.lam * np.exp(-params.kappa * times[:n]) * delta
+    k0, k1, k2, inv_sqrt_s, var_theta = _filter_coefficients(params, delta, h_amp, h_zeta)
+    u, _, rho, c2 = _step_constants(params, delta)
+    sqrt_delta = math.sqrt(delta)
+    coeffs = (h_amp, h_zeta, k0, k1, k2, inv_sqrt_s,
+              u, sqrt_delta, params.lam * delta, rho / sqrt_delta, c2)
+    return _Scheme(times=times, log_amp=log_amp, amp=amp, var_theta=var_theta,
+                   zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
 
 
 def _draw_batch(children, lo: int, hi: int, n: int):
@@ -303,19 +348,9 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     """
     kern = backends.get_backend(backend)
     n = cfg.steps
-    delta = cfg.delta
-    times = np.arange(n + 1) * delta
-    log_amp = _gain_on_grid(traj, params, times)
-    amp = np.exp(log_amp)
-    k0, k1, k2, inv_sqrt_s, var_theta = _filter_coefficients(params, cfg, amp)
-    u, _, rho, c2 = _step_constants(params, delta)
-    sqrt_delta = math.sqrt(delta)
-    c1 = rho / sqrt_delta
-    h_amp = amp[:n] * delta
-    h_zeta = params.lam * np.exp(-params.kappa * times[:n]) * delta
+    scheme = _prepare_scheme(params, cfg, traj)
     out_idx = np.unique(np.round(np.linspace(0, n, cfg.output_points)).astype(np.int64))
     n_out = out_idx.size
-    zeta_scale = 1.0 / math.sqrt(2.0 * params.kappa)
 
     children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
     edges = list(range(0, cfg.trials, cfg.batch_size)) + [cfg.trials]
@@ -327,14 +362,14 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     def run_batch(b: int):
         lo, hi = edges[b], edges[b + 1]
         th0, zeta0, xi1, xi2, _ = _draw_batch(children, lo, hi, n)
-        zeta0 = zeta0 * zeta_scale
+        zeta0 = zeta0 * scheme.zeta_scale
         mtheta = np.empty(hi - lo)
         innov = innov_rows[lo:hi] if return_innovations else None
-        kern.filter_batch(th0, zeta0, xi1, xi2, h_amp, h_zeta, k0, k1, k2,
-                          inv_sqrt_s, u, sqrt_delta, params.lam * delta, c1, c2,
+        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sq_rows[lo:hi], mtheta, innov)
 
-    workers = backends.thread_count(n_batches)
+    # a kernel that holds the GIL gains nothing from threads, only switching
+    workers = backends.thread_count(n_batches) if backends.releases_gil(kern) else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, range(n_batches)))
@@ -350,17 +385,17 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         hw = 1.96 * np.sqrt(var / trials)
     else:
         hw = np.full(n_out, np.inf)
-    amp_out_sq = amp[out_idx] ** 2
+    amp_out_sq = scheme.amp[out_idx] ** 2
     log_p = math.log(params.power)
     report = SimReport(
-        times=times[out_idx],
+        times=scheme.times[out_idx],
         mmse_emp=mean,
-        mmse_analytic=np.exp(log_p - 2.0 * log_amp[out_idx]),
+        mmse_analytic=np.exp(log_p - 2.0 * scheme.log_amp[out_idx]),
         mmse_hw=hw,
         power_emp=amp_out_sq * mean,
         power_hw=amp_out_sq * hw,
-        mmse_filter=var_theta[out_idx],
-        empirical_rate=float((log_amp[n] - 0.5 * log_p) / cfg.horizon),
+        mmse_filter=scheme.var_theta[out_idx],
+        empirical_rate=float((scheme.log_amp[n] - 0.5 * log_p) / cfg.horizon),
         master_seed=cfg.master_seed,
         backend=kern.NAME,
         innovations=innov_rows,
@@ -384,18 +419,8 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         return 0.0
     kern = backends.get_backend(backend)
     n = cfg.steps
-    delta = cfg.delta
-    times = np.arange(n + 1) * delta
-    log_amp = _gain_on_grid(traj, params, times)
-    amp = np.exp(log_amp)
-    k0, k1, k2, inv_sqrt_s, _ = _filter_coefficients(params, cfg, amp)
-    u, _, rho, c2 = _step_constants(params, delta)
-    sqrt_delta = math.sqrt(delta)
-    c1 = rho / sqrt_delta
-    h_amp = amp[:n] * delta
-    h_zeta = params.lam * np.exp(-params.kappa * times[:n]) * delta
+    scheme = _prepare_scheme(params, cfg, traj)
     out_idx = np.array([n], dtype=np.int64)
-    zeta_scale = 1.0 / math.sqrt(2.0 * params.kappa)
     grid = norm.ppf((np.arange(1, m_size + 1) - 0.5) / m_size)
 
     children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
@@ -405,11 +430,10 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         _, zeta0, xi1, xi2, gens = _draw_batch(children, lo, hi, n)
         sent = np.array([g.integers(1, m_size + 1) for g in gens])
         th0 = grid[sent - 1]
-        zeta0 = zeta0 * zeta_scale
+        zeta0 = zeta0 * scheme.zeta_scale
         sqerr = np.empty((hi - lo, 1))
         mtheta = np.empty(hi - lo)
-        kern.filter_batch(th0, zeta0, xi1, xi2, h_amp, h_zeta, k0, k1, k2,
-                          inv_sqrt_s, u, sqrt_delta, params.lam * delta, c1, c2,
+        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sqerr, mtheta, None)
         base = np.floor(norm.cdf(mtheta) * m_size + 0.5).astype(np.int64)
         w_lo = np.clip(base, 1, m_size)

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 
+from oucap.errors import FilterDivergence
+
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     """Plain bisection; requires a sign change on [lo, hi]."""
@@ -123,3 +125,53 @@ def critical_cubic_root(power: float) -> float:
     while f(hi) > 0:
         hi *= 2.0
     return bisect_root(f, 0.0, hi)
+
+
+def joseph_filter_coefficients(params, cfg, amp):
+    """Feedback-filter gains by the full 3x3 Joseph-form covariance update.
+
+    The state is (Theta0, Z0, zeta0); the update holds for any gain, so it
+    does not rely on the optimal-gain simplification the library uses.
+    Returns (K0, K1, K2, inv_sqrt_s, var_theta) like the library routine.
+    """
+    n = cfg.steps
+    delta = cfg.delta
+    lam = params.lam
+    kappa = params.kappa
+    u = math.exp(-kappa * delta)
+    sig2 = -math.expm1(-2.0 * kappa * delta) / (2.0 * kappa)
+    rho = -math.expm1(-kappa * delta) / kappa
+    f_diag = np.array([1.0, u, 1.0])
+    q = np.diag([0.0, sig2, 0.0])
+    c = np.array([0.0, rho, 0.0])
+    p = np.diag([1.0, 0.0, 1.0 / (2.0 * kappa)])
+    k0 = np.empty(n)
+    k1 = np.empty(n)
+    k2 = np.empty(n)
+    inv_sqrt_s = np.empty(n)
+    var_theta = np.empty(n + 1)
+    var_theta[0] = 1.0
+    lam_delta = lam * delta
+    for k in range(n):
+        h = np.array([amp[k] * delta, lam_delta, lam * math.exp(-kappa * k * delta) * delta])
+        ph = p @ h
+        s = float(h @ ph) + delta
+        gain = (f_diag * ph + c) / s
+        m = f_diag[:, None] * p - np.outer(gain, ph)
+        p = (
+            m * f_diag[None, :]
+            - np.outer(m @ h, gain)
+            + q
+            + delta * np.outer(gain, gain)
+            - np.outer(c, gain)
+            - np.outer(gain, c)
+        )
+        p = 0.5 * (p + p.T)
+        if not np.all(np.isfinite(p)) or min(p[0, 0], p[1, 1], p[2, 2]) < -1e-9:
+            raise FilterDivergence(f"covariance lost positive semidefiniteness at step {k}")
+        k0[k] = gain[0]
+        k1[k] = gain[1]
+        k2[k] = gain[2]
+        inv_sqrt_s[k] = 1.0 / math.sqrt(s)
+        var_theta[k + 1] = p[0, 0]
+    return k0, k1, k2, inv_sqrt_s, var_theta

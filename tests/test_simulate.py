@@ -1,16 +1,24 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import oucap.backends as backends
+import oucap.simulate as simulate
 from oucap import (
     ChannelParams,
+    FilterDivergence,
+    OucapError,
     SimConfig,
+    StationarityViolated,
     abel_for_channel,
     arma_recursion_residual,
+    available_backends,
     decode_message,
+    get_backend,
     integrate_abel,
     ljung_box,
     run_sk_scheme,
@@ -18,7 +26,7 @@ from oucap import (
     stationary_arma_noise,
 )
 
-from oracles import variance_of_z
+from oracles import joseph_filter_coefficients, variance_of_z
 
 P_STD = ChannelParams(lam=-1.0, kappa=1.0, power=2.0)
 
@@ -130,6 +138,21 @@ def test_stationary_noise_white_case_is_brownian():
         assert np.array_equal(z[i], math.sqrt(cfg.delta) * xi[0])
 
 
+def test_stationary_noise_identity_failure_is_typed(monkeypatch):
+    params = ChannelParams(-0.7, 1.0, 1.0)
+    cfg = SimConfig(horizon=10.0, steps=200, trials=2, master_seed=29)
+    exact = simulate._step_constants
+
+    def perturbed(p, delta):
+        u, sig2, rho, c2 = exact(p, delta)
+        return u, sig2, rho * (1.0 + 1e-3), c2
+
+    monkeypatch.setattr(simulate, "_step_constants", perturbed)
+    with pytest.raises(StationarityViolated) as info:
+        stationary_arma_noise(params, cfg)
+    assert isinstance(info.value, OucapError)
+
+
 def test_recursion_residual_helper():
     params = ChannelParams(-0.7, 1.0, 1.0)
     cfg = SimConfig(horizon=10.0, steps=200, trials=5, master_seed=29)
@@ -169,11 +192,65 @@ def test_run_sk_batch_size_invariance(traj_std):
 
 def test_run_sk_thread_invariance(traj_std, monkeypatch):
     cfg = SimConfig(horizon=10.0, steps=300, trials=500, master_seed=41, batch_size=64)
-    monkeypatch.setenv("OUCAP_THREADS", "1")
-    a = run_sk_scheme(P_STD, cfg, traj_std)
+    # every backend that really uses the pool (the compiled kernel, if built)
+    for name in available_backends():
+        if not backends.releases_gil(get_backend(name)):
+            continue
+        monkeypatch.setenv("OUCAP_THREADS", "1")
+        one = run_sk_scheme(P_STD, cfg, traj_std, backend=name)
+        monkeypatch.setenv("OUCAP_THREADS", "4")
+        four = run_sk_scheme(P_STD, cfg, traj_std, backend=name)
+        assert np.array_equal(one.mmse_emp, four.mmse_emp), name
+
+    kern = get_backend("numpy")
+    original = kern.filter_batch
+    callers = set()
+
+    def spy(*args):
+        callers.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(kern, "filter_batch", spy)
     monkeypatch.setenv("OUCAP_THREADS", "4")
-    b = run_sk_scheme(P_STD, cfg, traj_std)
+    a = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
+    # the numpy kernel holds the GIL, so its batches stay on the calling thread
+    assert callers == {threading.get_ident()}
+    # forced onto the pool path, the numpy kernel must give the same results
+    monkeypatch.setattr(backends, "releases_gil", lambda k: True)
+    b = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
+    assert len(callers) > 1
+    monkeypatch.setenv("OUCAP_THREADS", "1")
+    c = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
     assert np.array_equal(a.mmse_emp, b.mmse_emp)
+    assert np.array_equal(a.mmse_emp, c.mmse_emp)
+
+
+@pytest.mark.parametrize("lam,kappa", [
+    (-0.5, 1.0),   # colored
+    (-1.0, 1.0),   # critical, lam = -kappa
+    (0.5, 1.0),    # white-equivalent, lam >= 0
+    (-2.0, 1.0),   # white-equivalent boundary, lam = -2 kappa
+])
+def test_filter_coefficients_match_joseph_oracle(lam, kappa):
+    params = ChannelParams(lam, kappa, 2.0)
+    horizon = 10.0
+    cfg = SimConfig(horizon=horizon, steps=20000, trials=1, master_seed=0)
+    scheme = simulate._prepare_scheme(params, cfg, make_traj(params, horizon))
+    got = scheme.coeffs[2:6] + (scheme.var_theta,)
+    want = joseph_filter_coefficients(params, cfg, scheme.amp)
+    for g, w in zip(got, want):
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitude_raises_filter_divergence(bad):
+    cfg = SimConfig(horizon=1.0, steps=200, trials=1, master_seed=0)
+    h_amp = np.full(cfg.steps, cfg.delta)
+    h_amp[37] = bad
+    h_zeta = P_STD.lam * np.exp(-P_STD.kappa * np.arange(cfg.steps) * cfg.delta) * cfg.delta
+    with pytest.raises(FilterDivergence, match="at step 37"):
+        simulate._filter_coefficients(P_STD, cfg.delta, h_amp, h_zeta)
 
 
 def test_white_channel_mmse_matches_exponential_law(traj_std):
