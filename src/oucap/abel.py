@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .channel import CapacityResult, ChannelParams, Route
 from .errors import KernelDomainMismatch, NotConverged, StepSizeUnderflow
@@ -165,6 +164,8 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
         raise ValueError(f"step must be <= horizon/100, got {step}")
     if coeffs.power <= 0:
         raise ValueError("power must be positive to integrate the scheme")
+    from scipy.integrate import solve_ivp
+
     P = coeffs.power
 
     def rhs(t, y):
@@ -256,6 +257,8 @@ def gain_from_kernel(traj: OdeTrajectory, kernel: SeparableKernel,
         raise KernelDomainMismatch("kernel factors not finite on [0, horizon]")
     if np.any(ld == 0.0):
         raise KernelDomainMismatch("l_d vanishes on the trajectory grid")
+    from scipy.integrate import cumulative_trapezoid
+
     A = traj.a
     integral = cumulative_trapezoid(lu * A, t, initial=0.0)
     H = A + integral / ld

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 
 from . import _sk_numpy
+from .errors import BackendUnavailable
 
 try:  # pragma: no cover - exercised only when the extension built
     from . import _sk_core
@@ -28,7 +29,11 @@ def available_backends() -> tuple[str, ...]:
 
 
 def get_backend(name: str | None = None):
-    """Return the backend module, honouring OUCAP_BACKEND when name is None."""
+    """Return the backend module, honouring OUCAP_BACKEND when name is None.
+
+    An unknown name raises ValueError; naming the compiled backend where the
+    extension is not built raises BackendUnavailable.
+    """
     if name is None:
         name = os.environ.get("OUCAP_BACKEND", "").strip().lower() or None
     if name is None:
@@ -37,7 +42,7 @@ def get_backend(name: str | None = None):
         return _sk_numpy
     if name == "cython":
         if _sk_core is None:
-            raise RuntimeError(
+            raise BackendUnavailable(
                 "compiled backend requested via OUCAP_BACKEND=cython "
                 "but the extension is not built"
             )

@@ -3,8 +3,9 @@
 Two independent routes to the same number:
 
 * ``feedback_capacity_closed_form`` — the capacity of the colored channel is
-  the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2; white-
-  equivalent parameters give P/2 exactly.
+  the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, found by
+  Newton's method in plain floats; white-equivalent parameters give P/2
+  exactly.
 * ``discrete_limit_sweep`` — sample the channel at step delta, reduce it to a
   stationary ARMA(1,1) noise model, solve that model's quartic capacity
   equation, and divide by delta.  As delta -> 0 the rates converge to the
@@ -66,19 +67,34 @@ def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
     """Feedback capacity in nats per unit time, closed-form route.
 
     White-equivalent regime: P/2 with zero residual.  Colored-gain regime:
-    the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, located
-    by bracketed Brent iteration on [0, 10*max(P, kappa, 1)]; the stored
-    residual is the defining polynomial evaluated at the root.
+    the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, i.e. of
+    p(x) = 2x^3 + (4c-P)x^2 + (2c^2-2P kappa)x - P kappa^2 with
+    c = |kappa+lam| < kappa, by Newton's method from the upper bound
+    max(kappa, 2P).  The root is at least P/2, where p is already convex and
+    increasing, so the iterates fall monotonically onto it; the descent
+    stops when rounding ends it, which leaves the value accurate relative to
+    its own size for any P.  The stored residual is the defining polynomial
+    evaluated at the root.
     """
     if classify_regime(params) is Regime.WHITE_EQUIVALENT:
         return CapacityResult(value=params.power / 2.0,
                               route=Route.CLOSED_FORM, residual=0.0)
     if params.power == 0.0:
         return CapacityResult(value=0.0, route=Route.CLOSED_FORM, residual=0.0)
-    hi = 10.0 * max(params.power, params.kappa, 1.0)
-    x0 = bracketed_root(lambda x: _cubic_residual(x, params), 0.0, hi)
-    return CapacityResult(value=x0, route=Route.CLOSED_FORM,
-                          residual=abs(_cubic_residual(x0, params)))
+    P, kappa = params.power, params.kappa
+    c = abs(kappa + params.lam)
+    a2 = 4.0 * c - P
+    a1 = 2.0 * c * c - 2.0 * P * kappa
+    a0 = -P * kappa * kappa
+    # a root x > kappa would give 2x^3 <= P(x+kappa)^2 < 4P x^2, so x <= 2P
+    x = max(kappa, 2.0 * P)
+    while True:
+        step = (((2.0 * x + a2) * x + a1) * x + a0) / ((6.0 * x + 2.0 * a2) * x + a1)
+        if not x - step < x:
+            break
+        x -= step
+    return CapacityResult(value=x, route=Route.CLOSED_FORM,
+                          residual=abs(_cubic_residual(x, params)))
 
 
 def _sgn(x: float) -> float:
@@ -143,6 +159,13 @@ def arma_from_step(params: ChannelParams, delta: float) -> ArmaParams:
                       power=params.power * delta)
 
 
+def _richardson(deltas: Sequence[float], rates: Sequence[float], i: int) -> float:
+    """Two-point Richardson value from entries i-1 and i, eliminating the
+    first-order term of rate(delta) = limit + c*delta + o(delta)."""
+    d1, d2 = deltas[i - 1], deltas[i]
+    return (d1 * rates[i] - d2 * rates[i - 1]) / (d1 - d2)
+
+
 def discrete_limit_sweep(params: ChannelParams,
                          deltas: Sequence[float]) -> DeltaSweep:
     """Per-unit-time rates cap(delta)/delta along a decreasing delta sequence.
@@ -161,12 +184,7 @@ def discrete_limit_sweep(params: ChannelParams,
     for d in ds:
         _, cap = solve_arma_quartic(arma_from_step(params, d))
         rates.append(cap / d)
-    if len(ds) >= 2:
-        d1, d2 = ds[-2], ds[-1]
-        r1, r2 = rates[-2], rates[-1]
-        extrapolated = (d1 * r2 - d2 * r1) / (d1 - d2)
-    else:
-        extrapolated = rates[-1]
+    extrapolated = _richardson(ds, rates, len(ds) - 1) if len(ds) >= 2 else rates[-1]
     return DeltaSweep(deltas=tuple(ds), rates=tuple(rates),
                       extrapolated=extrapolated)
 
@@ -175,13 +193,22 @@ def discrete_limit_capacity(params: ChannelParams,
                             deltas: Sequence[float]) -> CapacityResult:
     """CapacityResult wrapper around discrete_limit_sweep.
 
-    value is the Richardson-extrapolated limit; residual is the spread
-    |extrapolated - rates[-1]|, an honest first-order error estimate.
+    value is the Richardson-extrapolated limit.  residual is the spread
+    between the last two successive Richardson values (entries -3/-2 and
+    -2/-1), which bounds the extrapolation's own error while the o(delta)
+    remainder shrinks along the sweep.  With fewer than three deltas it
+    falls back to |extrapolated - rates[-1]|, the first-order error of the
+    raw rate.
     """
     sweep = discrete_limit_sweep(params, deltas)
     value = max(sweep.extrapolated, 0.0)
+    n = len(sweep.deltas)
+    if n >= 3:
+        previous = _richardson(sweep.deltas, sweep.rates, n - 2)
+    else:
+        previous = sweep.rates[-1]
     return CapacityResult(value=value, route=Route.DISCRETE_LIMIT,
-                          residual=abs(sweep.extrapolated - sweep.rates[-1]))
+                          residual=abs(sweep.extrapolated - previous))
 
 
 DEFAULT_SWEEP_DELTAS = tuple(0.1 * (10.0 ** (-0.25)) ** i for i in range(13))

@@ -2,8 +2,9 @@
 
 Subcommands: capacity (closed-form / ODE-limit / discrete-limit routes),
 simulate (Monte Carlo of the feedback scheme), spectrum (non-feedback
-sweeps).  Exit codes: 0 success, 2 invalid flags or parameters, 3 a
-computation failed to converge, 4 filter divergence.  Text output is
+sweeps).  Exit codes: 0 success, 2 invalid flags or parameters (including
+an OUCAP_BACKEND that names an unknown or unbuilt backend), 3 a computation
+failed to converge, 4 filter divergence.  Text output is
 human-oriented and unstable; CSV and JSON are the compatibility surface.
 When --out is given, data files are written together with a
 `<out>.manifest.json` recording parameters, version, seed, and timestamp.
@@ -25,7 +26,7 @@ from .capacity import (
     feedback_capacity_closed_form,
 )
 from .channel import ChannelParams
-from .errors import FilterDivergence, NotConverged, OucapError
+from .errors import BackendUnavailable, FilterDivergence, NotConverged, OucapError
 from .simulate import SimConfig, run_sk_scheme
 from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
 
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_spectrum(args)
-    except ValueError as exc:
+    except (ValueError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FilterDivergence as exc:

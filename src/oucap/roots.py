@@ -1,16 +1,16 @@
-"""Bracketed scalar root finding used by the capacity solvers.
+"""Bracketed scalar root finding used by the discrete-limit and water-filling
+solvers.
 
 Thin wrapper over Brent's method: callers supply an initial bracket, the
 helper expands it geometrically if the sign change is not yet inside, and
 raises RootNotBracketed instead of diverging.  Tolerance is absolute 1e-12
-on x by default.
+on x by default.  scipy.optimize is imported on the first call, so routes
+that find no root this way (the closed form among them) never load it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-from scipy.optimize import brentq
 
 from .errors import RootNotBracketed
 
@@ -34,6 +34,8 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
         if fhi == 0.0:
             return hi
         if (flo < 0.0) != (fhi < 0.0):
+            from scipy.optimize import brentq
+
             return float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
         width *= 2.0
         hi = lo + width

@@ -20,6 +20,9 @@ whose first row scales into the Brownian increments and whose second row
 supplies the extra OU randomness.  Aggregation is in trial order with a fixed
 batch size, so results are bit-identical regardless of parallelism or
 backend.
+
+scipy.interpolate (the gain spline) and scipy.special (the message grid of
+decode_message) are imported by the functions that use them, on first call.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.signal import lfilter
-from scipy.stats import norm
 
 from . import backends
 from .abel import OdeTrajectory
@@ -160,9 +160,13 @@ def simulate_noise(params: ChannelParams, cfg: SimConfig, trial: int = 0) -> Noi
     zeta0 = head[1] / math.sqrt(2.0 * params.kappa)
     db = math.sqrt(delta) * xi[0]
     eta = (rho / math.sqrt(delta)) * xi[0] + c2 * xi[1]
+    # exact OU recursion Z0(t_{k+1}) = u Z0(t_k) + eta_k from Z0(0) = 0
     ou = np.empty(cfg.steps + 1)
-    ou[0] = 0.0
-    ou[1:] = lfilter([1.0], [1.0, -u], eta)
+    ou_k = 0.0
+    ou[0] = ou_k
+    for k, e in enumerate(eta.tolist(), start=1):
+        ou_k = e + u * ou_k
+        ou[k] = ou_k
     tk = np.arange(cfg.steps) * delta
     z_inc = params.lam * (ou[:-1] + zeta0 * np.exp(-params.kappa * tk)) * delta + db
     return NoisePath(brownian_increments=db, ou_state=ou, tail=float(zeta0), z_increments=z_inc)
@@ -179,32 +183,40 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     a path that fails it raises StationarityViolated.
     """
     n = cfg.steps
+    m = cfg.trials
     delta = cfg.delta
     kappa = params.kappa
+    lam = params.lam
     u, _, rho, _ = _step_constants(params, delta)
-    ratio = params.lam / kappa
+    ratio = lam / kappa
     theta = ratio - (ratio + 1.0) * u
     m_delta = math.sqrt(2.0 * kappa * delta / -math.expm1(-2.0 * kappa * delta))
     decay = np.exp(-kappa * np.arange(n) * delta)
     sqrt_delta = math.sqrt(delta)
-    out = np.empty((cfg.trials, n))
-    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
-    for i in range(cfg.trials):
+    # time-major: row k holds step k of every trial, so the recursion below
+    # runs over time with each step vectorised across trials
+    bt = np.empty((n, m))
+    tail = np.empty(m)
+    children = np.random.SeedSequence(cfg.master_seed).spawn(m)
+    for i in range(m):
         g = np.random.Generator(np.random.PCG64(children[i]))
         head = g.standard_normal(2)
         xi = g.standard_normal((2, n))
-        zeta0 = head[1] / math.sqrt(2.0 * kappa)
-        b = sqrt_delta * xi[0]
-        # w_k = sum_{i<k} e^{-kappa (t_k - t_{i+1})} B_i via the stable
-        # recursion w_{k+1} = u w_k + B_k; then d_k * sum = rho * w_k.
-        w = lfilter([0.0, 1.0], [1.0, -u], b)
-        z = b + params.lam * (rho * w + (rho * m_delta * zeta0) * decay)
-        resid = z[1:] - (u * z[:-1] + b[1:] + theta * b[:-1])
-        scale = max(1.0, float(np.max(np.abs(z))))
-        if not np.all(np.abs(resid) < 1e-9 * scale):
-            raise StationarityViolated("stationarized-noise recursion identity violated")
-        out[i] = z
-    return out
+        tail[i] = rho * m_delta * (head[1] / math.sqrt(2.0 * kappa))
+        bt[:, i] = sqrt_delta * xi[0]
+    # w_k = sum_{i<k} e^{-kappa (t_k - t_{i+1})} B_i via the stable
+    # recursion w_{k+1} = u w_k + B_k; then d_k * sum = rho * w_k.
+    zt = np.empty((n, m))
+    w = np.zeros(m)
+    for k in range(n):
+        if k:
+            w = bt[k - 1] + u * w
+        zt[k] = bt[k] + lam * (rho * w + tail * decay[k])
+    resid = zt[1:] - (u * zt[:-1] + bt[1:] + theta * bt[:-1])
+    scale = np.maximum(1.0, np.max(np.abs(zt), axis=0))
+    if not np.all(np.abs(resid) < 1e-9 * scale):
+        raise StationarityViolated("stationarized-noise recursion identity violated")
+    return np.ascontiguousarray(zt.T)
 
 
 def arma_recursion_residual(z: np.ndarray, brownian: np.ndarray,
@@ -223,6 +235,8 @@ def _gain_on_grid(traj: OdeTrajectory, params: ChannelParams, times: np.ndarray)
         raise ValueError("trajectory was computed for a different power")
     if traj.horizon < times[-1] - 1e-9:
         raise ValueError("trajectory horizon shorter than the simulation horizon")
+    from scipy.interpolate import CubicHermiteSpline
+
     spline = CubicHermiteSpline(traj.times, traj.log_a, params.power * traj.g**2)
     return np.asarray(spline(np.minimum(times, traj.times[-1])))
 
@@ -417,11 +431,13 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         raise ValueError("grid_size must be at least 1")
     if m_size == 1:
         return 0.0
+    from scipy.special import ndtr, ndtri
+
     kern = backends.get_backend(backend)
     n = cfg.steps
     scheme = _prepare_scheme(params, cfg, traj)
     out_idx = np.array([n], dtype=np.int64)
-    grid = norm.ppf((np.arange(1, m_size + 1) - 0.5) / m_size)
+    grid = ndtri((np.arange(1, m_size + 1) - 0.5) / m_size)
 
     children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
     errors = 0
@@ -435,7 +451,7 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         mtheta = np.empty(hi - lo)
         kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sqerr, mtheta, None)
-        base = np.floor(norm.cdf(mtheta) * m_size + 0.5).astype(np.int64)
+        base = np.floor(ndtr(mtheta) * m_size + 0.5).astype(np.int64)
         w_lo = np.clip(base, 1, m_size)
         w_hi = np.clip(base + 1, 1, m_size)
         d_lo = np.abs(grid[w_lo - 1] - mtheta)

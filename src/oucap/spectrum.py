@@ -1,6 +1,7 @@
 """Non-feedback rates: the mutual-information-rate integral for stationary
 Gaussian inputs, flat-input limit sweeps, and band-limited water-filling
-against the channel's noise spectral density.
+against the channel's noise spectral density.  scipy.integrate is imported by
+the quadratures, on their first call.
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .channel import ChannelParams, noise_sdf
-from .errors import DegenerateNoise
+from .errors import CrossCheckFailed, DegenerateNoise
 from .roots import bracketed_root
 
 QUAD_TOL = 1e-10
@@ -65,6 +65,8 @@ def pinsker_rate(spectrum: InputSpectrum, params: ChannelParams) -> float:
     The noise density vanishes only at x=0 (when lam = -kappa); the log
     singularity there is integrable and the quadrature splits at the origin.
     """
+    from scipy.integrate import quad
+
     total = 0.0
     noise_root = params.lam == -params.kappa
     for (lo, hi), density in spectrum.bands:
@@ -198,6 +200,8 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
         lo = min(b, 1e-3)
     if b > lo:
         pieces.append((lo, b))
+    from scipy.integrate import quad
+
     rate = 0.0
     for x0, x1 in pieces:
         val, _err = quad(integrand, x0, x1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
@@ -211,12 +215,15 @@ def p_max(params: ChannelParams, cross_check: bool = False) -> float:
     Equals (kappa^2 - (kappa+lam)^2)/(2 kappa); positive exactly in the
     ColoredGain regime, where it bounds the power for which the filled band
     stays finite.  With cross_check=True the closed form is verified against
-    direct quadrature of (1/2pi - S_z).
+    direct quadrature of (1/2pi - S_z), and a disagreement raises
+    CrossCheckFailed.
     """
     kappa = params.kappa
     c = params.lam + kappa
     value = (kappa * kappa - c * c) / (2.0 * kappa)
     if cross_check:
+        from scipy.integrate import quad
+
         integral, _err = quad(
             lambda x: 1.0 / TWO_PI - noise_sdf(params, x),
             0.0,
@@ -225,7 +232,7 @@ def p_max(params: ChannelParams, cross_check: bool = False) -> float:
             limit=400,
         )
         if abs(2.0 * integral - value) > 1e-7 * max(1.0, abs(value)):
-            raise ArithmeticError(
+            raise CrossCheckFailed(
                 f"water-volume quadrature {2.0 * integral} disagrees with closed form {value}"
             )
     return value

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import dblquad, quad
+from scipy.signal import lfilter
 
 from oucap.errors import FilterDivergence
 
@@ -47,6 +48,30 @@ def capacity_cubic_bisection(lam: float, kappa: float, power: float) -> float:
     while f(hi) > 0:
         hi *= 2.0
     return bisect_root(f, 0.0, hi)
+
+
+def capacity_cubic_bisection_exhaustive(lam: float, kappa: float, power: float) -> float:
+    """Positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, bisected until the
+    float interval stops shrinking, so its relative accuracy holds for any P."""
+    c = abs(kappa + lam)
+
+    def f(x: float) -> float:
+        return power * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2
+
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fm > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def arma_quartic_bisection(phi: float, theta: float, power: float) -> float:
@@ -175,3 +200,47 @@ def joseph_filter_coefficients(params, cfg, amp):
         inv_sqrt_s[k] = 1.0 / math.sqrt(s)
         var_theta[k + 1] = p[0, 0]
     return k0, k1, k2, inv_sqrt_s, var_theta
+
+
+def _noise_draws(master_seed: int, trial: int, steps: int):
+    gen = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(trial,))))
+    head = gen.standard_normal(2)
+    return head, gen.standard_normal((2, steps))
+
+
+def lfilter_ou_state(params, cfg, trial: int) -> np.ndarray:
+    """Zero-start OU path Z0(t_k), k = 0..n, of one trial, by the first-order
+    scipy.signal.lfilter the library once used."""
+    _head, xi = _noise_draws(cfg.master_seed, trial, cfg.steps)
+    delta = cfg.delta
+    kappa = params.kappa
+    u = math.exp(-kappa * delta)
+    sig2 = -math.expm1(-2.0 * kappa * delta) / (2.0 * kappa)
+    rho = -math.expm1(-kappa * delta) / kappa
+    c2 = math.sqrt(max(sig2 - rho * rho / delta, 0.0))
+    eta = (rho / math.sqrt(delta)) * xi[0] + c2 * xi[1]
+    ou = np.empty(cfg.steps + 1)
+    ou[0] = 0.0
+    ou[1:] = lfilter([1.0], [1.0, -u], eta)
+    return ou
+
+
+def lfilter_stationary_arma_noise(params, cfg) -> np.ndarray:
+    """Stationarized discrete noise, shape (trials, steps), one trial at a time
+    with the scipy.signal.lfilter formula the library once used."""
+    n = cfg.steps
+    delta = cfg.delta
+    kappa = params.kappa
+    u = math.exp(-kappa * delta)
+    rho = -math.expm1(-kappa * delta) / kappa
+    m_delta = math.sqrt(2.0 * kappa * delta / -math.expm1(-2.0 * kappa * delta))
+    decay = np.exp(-kappa * np.arange(n) * delta)
+    out = np.empty((cfg.trials, n))
+    for i in range(cfg.trials):
+        head, xi = _noise_draws(cfg.master_seed, i, n)
+        zeta0 = head[1] / math.sqrt(2.0 * kappa)
+        b = math.sqrt(delta) * xi[0]
+        w = lfilter([0.0, 1.0], [1.0, -u], b)
+        out[i] = b + params.lam * (rho * w + (rho * m_delta * zeta0) * decay)
+    return out

@@ -1,6 +1,6 @@
 import pytest
 
-from oucap import available_backends, get_backend
+from oucap import BackendUnavailable, OucapError, available_backends, get_backend
 from oucap.backends import thread_count
 
 
@@ -46,6 +46,15 @@ def test_cython_request_without_extension(monkeypatch):
         pytest.skip("compiled extension is built here")
     with pytest.raises(RuntimeError):
         get_backend("cython")
+
+
+def test_cython_request_without_extension_is_typed(monkeypatch):
+    if "cython" in available_backends():
+        pytest.skip("compiled extension is built here")
+    monkeypatch.setenv("OUCAP_BACKEND", "cython")
+    with pytest.raises(BackendUnavailable) as info:
+        get_backend()
+    assert isinstance(info.value, OucapError)
 
 
 def test_thread_count_caps_and_validates(monkeypatch):

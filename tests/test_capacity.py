@@ -18,7 +18,11 @@ from oucap import (
     solve_arma_quartic,
 )
 
-from oracles import arma_quartic_bisection, capacity_cubic_bisection
+from oracles import (
+    arma_quartic_bisection,
+    capacity_cubic_bisection,
+    capacity_cubic_bisection_exhaustive,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -70,6 +74,18 @@ colored = st.tuples(
     st.floats(min_value=0.1, max_value=5.0, **finite),    # kappa
     st.floats(min_value=0.01, max_value=20.0, **finite),  # power
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored, st.floats(min_value=-12.0, max_value=6.0, **finite))
+def test_closed_form_relative_accuracy_over_power_decades(triple, log10_power):
+    # an absolute root tolerance loses relative accuracy as P -> 0
+    frac, kappa, _power = triple
+    lam = -2.0 * kappa * frac
+    power = 10.0 ** log10_power
+    value = feedback_capacity_closed_form(ChannelParams(lam, kappa, power)).value
+    expected = capacity_cubic_bisection_exhaustive(lam, kappa, power)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,6 +202,14 @@ def test_discrete_limit_capacity_wrapper():
     closed = feedback_capacity_closed_form(params).value
     assert result.value == pytest.approx(closed, rel=1e-5)
     assert result.residual >= 0.0
+
+
+@pytest.mark.parametrize("triple,_expected", FROZEN)
+def test_discrete_limit_residual_bounds_actual_error(triple, _expected):
+    params = ChannelParams(*triple)
+    result = discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS)
+    error = abs(result.value - feedback_capacity_closed_form(params).value)
+    assert error <= result.residual < 1e-5
 
 
 def test_discrete_limit_white_case():

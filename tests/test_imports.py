@@ -1,0 +1,92 @@
+"""Which scipy submodules each route loads, checked in fresh interpreters.
+
+`import oucap` and the closed-form route load no scipy at all; no route,
+simulation or spectrum ever loads scipy.signal or scipy.stats.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import oucap
+
+SRC = str(Path(oucap.__file__).resolve().parent.parent)
+
+PRELUDE = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def run_fresh(body: str) -> str:
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + body],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_and_closed_form_cli_load_no_scipy():
+    out = run_fresh("""
+import oucap
+assert scipy_modules() == [], scipy_modules()
+from oucap.cli import main
+assert main(["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2",
+             "--route", "closed", "--format", "json"]) == 0
+assert scipy_modules() == [], scipy_modules()
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+def test_no_route_loads_scipy_signal_or_stats():
+    out = run_fresh("""
+from oucap import *
+from oucap.cli import main
+
+colored = ChannelParams(-0.5, 1.0, 2.0)
+for params in (colored, ChannelParams(0.5, 1.0, 2.0), ChannelParams(-1.0, 1.0, 2.0)):
+    feedback_capacity_closed_form(params)
+    discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS)
+    integrate_abel(abel_for_channel(params), horizon=10.0, step=0.01)
+sk_rate_from_ode(integrate_abel(abel_for_channel(colored), horizon=50.0, step=0.05))
+classify_root_convergence(abel_for_channel(colored), 50.0)
+kernel = ou_resolvent_kernel(colored)
+traj = integrate_abel(abel_for_channel(colored), horizon=4.0, step=0.004)
+gain_from_kernel(traj, kernel)
+l = sample_kernel(kernel, horizon=4.0, n=101)
+resolvent_residual(recover_h_from_l(l), l)
+
+cfg = SimConfig(horizon=4.0, steps=200, trials=8, master_seed=1)
+simulate_noise(colored, cfg)
+stationary_arma_noise(colored, cfg)
+rep = run_sk_scheme(colored, cfg, traj, return_innovations=True)
+ljung_box(rep.innovations)
+decode_message(colored, cfg, traj, grid_size=16)
+
+pinsker_rate(InputSpectrum.two_sided_flat(1.0, 2.0, 0.5), colored)
+flat_input_limit_sweep(colored, (4.0,), (8.0,))
+waterfill_bandlimited(colored, 10.0, 2.0)
+p_max(colored, cross_check=True)
+
+for argv in (
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "all"],
+    ["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2",
+     "--horizon", "2", "--steps", "200", "--trials", "8"],
+    ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1"],
+    ["spectrum", "--lambda", "0", "--kappa", "1", "--power", "2",
+     "--sweep", "waterfill", "--band", "100"],
+):
+    assert main(argv + ["--format", "json"]) == 0
+
+loaded = scipy_modules()
+assert any(m.startswith("scipy.integrate") for m in loaded), loaded
+bad = [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
+assert bad == [], bad
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")

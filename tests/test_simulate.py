@@ -26,7 +26,12 @@ from oucap import (
     stationary_arma_noise,
 )
 
-from oracles import joseph_filter_coefficients, variance_of_z
+from oracles import (
+    joseph_filter_coefficients,
+    lfilter_ou_state,
+    lfilter_stationary_arma_noise,
+    variance_of_z,
+)
 
 P_STD = ChannelParams(lam=-1.0, kappa=1.0, power=2.0)
 
@@ -136,6 +141,28 @@ def test_stationary_noise_white_case_is_brownian():
         g.standard_normal(2)
         xi = g.standard_normal((2, cfg.steps))
         assert np.array_equal(z[i], math.sqrt(cfg.delta) * xi[0])
+
+
+# colored gain (critical and offset) and white equivalent (above and below)
+REGIMES = [-1.0, -0.4, 0.5, -2.6]
+
+
+@pytest.mark.parametrize("lam", REGIMES)
+def test_ou_state_bit_identical_to_lfilter_oracle(lam):
+    params = ChannelParams(lam, 1.3, 1.0)
+    cfg = SimConfig(horizon=4.0, steps=3000, trials=3, master_seed=41)
+    for i in range(cfg.trials):
+        path = simulate_noise(params, cfg, trial=i)
+        assert np.array_equal(path.ou_state, lfilter_ou_state(params, cfg, i))
+
+
+@pytest.mark.parametrize("lam", REGIMES)
+def test_stationary_noise_bit_identical_to_lfilter_oracle(lam):
+    params = ChannelParams(lam, 1.3, 1.0)
+    cfg = SimConfig(horizon=10.0, steps=200, trials=37, master_seed=43)
+    z = stationary_arma_noise(params, cfg)
+    assert z.flags.c_contiguous
+    assert np.array_equal(z, lfilter_stationary_arma_noise(params, cfg))
 
 
 def test_stationary_noise_identity_failure_is_typed(monkeypatch):

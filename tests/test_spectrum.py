@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oucap.spectrum as spectrum
 from oucap import (
     ChannelParams,
+    CrossCheckFailed,
     InputSpectrum,
+    OucapError,
     flat_input_limit_sweep,
     p_max,
     pinsker_rate,
@@ -207,6 +210,16 @@ def test_p_max_values_and_cross_check():
     for lam, kappa in ((-1.0, 1.0), (-0.3, 2.0), (0.7, 1.0)):
         params = ChannelParams(lam, kappa, 1.0)
         assert p_max(params, cross_check=True) == p_max(params)
+
+
+def test_p_max_cross_check_failure_is_typed(monkeypatch):
+    # a noise density that holds twice the closed form's water volume
+    exact = spectrum.noise_sdf
+    monkeypatch.setattr(spectrum, "noise_sdf",
+                        lambda p, x: 2.0 * exact(p, x) - 1.0 / (2.0 * math.pi))
+    with pytest.raises(CrossCheckFailed) as info:
+        p_max(ChannelParams(-1.0, 1.0, 1.0), cross_check=True)
+    assert isinstance(info.value, OucapError)
 
 
 def test_p_max_positive_only_when_colored():
