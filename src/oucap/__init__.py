@@ -39,9 +39,7 @@ from .channel import (
 )
 from .errors import (
     BackendUnavailable,
-    CrossCheckFailed,
     DegenerateKernel,
-    DegenerateNoise,
     FilterDivergence,
     GridMismatch,
     InvalidArma,
@@ -60,7 +58,6 @@ from .kernels import (
     resolvent_residual,
     sample_kernel,
 )
-from .report import __version__
 from .simulate import (
     NoisePath,
     SimConfig,
@@ -86,10 +83,8 @@ __all__ = [
     "BackendUnavailable",
     "CapacityResult",
     "ChannelParams",
-    "CrossCheckFailed",
     "DEFAULT_SWEEP_DELTAS",
     "DegenerateKernel",
-    "DegenerateNoise",
     "DeltaSweep",
     "FilterDivergence",
     "GridKernel",
@@ -142,3 +137,12 @@ __all__ = [
     "stationary_arma_noise",
     "waterfill_bandlimited",
 ]
+
+
+def __getattr__(name):
+    # the version is looked up on first use, not on import
+    if name == "__version__":
+        from .report import version
+
+        return version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -196,17 +196,16 @@ def discrete_limit_capacity(params: ChannelParams,
     value is the Richardson-extrapolated limit.  residual is the spread
     between the last two successive Richardson values (entries -3/-2 and
     -2/-1), which bounds the extrapolation's own error while the o(delta)
-    remainder shrinks along the sweep.  With fewer than three deltas it
-    falls back to |extrapolated - rates[-1]|, the first-order error of the
-    raw rate.
+    remainder shrinks along the sweep.  Fewer than three deltas give no such
+    spread, so they raise ValueError rather than report an error bar that
+    bounds nothing.
     """
+    if len(deltas) < 3:
+        raise ValueError(
+            f"the discrete limit needs at least three deltas, got {len(deltas)}")
     sweep = discrete_limit_sweep(params, deltas)
     value = max(sweep.extrapolated, 0.0)
-    n = len(sweep.deltas)
-    if n >= 3:
-        previous = _richardson(sweep.deltas, sweep.rates, n - 2)
-    else:
-        previous = sweep.rates[-1]
+    previous = _richardson(sweep.deltas, sweep.rates, len(sweep.deltas) - 2)
     return CapacityResult(value=value, route=Route.DISCRETE_LIMIT,
                           residual=abs(sweep.extrapolated - previous))
 

@@ -52,6 +52,17 @@ def _output_args(sub: argparse.ArgumentParser) -> None:
                      help="base path for output files (data + .manifest.json)")
 
 
+class _VersionAction(argparse.Action):
+    """--version, with the version looked up only when it is asked for."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         help="show the program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.exit(message=report.version() + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oucap",
@@ -61,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "thread pool; "
         "OUCAP_BACKEND forces the simulation backend.",
     )
-    parser.add_argument("--version", action="version", version=report.__version__)
+    parser.add_argument("--version", action=_VersionAction)
     subs = parser.add_subparsers(dest="command", required=True)
 
     cap = subs.add_parser("capacity", help="feedback capacity by one or all routes")
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_payload: str, csv_payload: str, json_payload: dict,
-          manifest: dict, summary: str | None = None) -> None:
+          manifest_args: tuple, summary: str | None = None) -> None:
     if args.format == "text":
         data = text_payload
     elif args.format == "csv":
@@ -106,6 +117,7 @@ def _emit(args, text_payload: str, csv_payload: str, json_payload: dict,
         target = args.out if args.out.suffix else args.out.with_suffix(suffix)
         target.write_text(data, encoding="utf-8")
         manifest_path = Path(str(target) + ".manifest.json")
+        manifest = report.build_manifest(*manifest_args)
         manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
         if summary:
             print(summary)
@@ -131,7 +143,7 @@ def cmd_capacity(args) -> int:
     if len(results) > 1:
         values = [r.value for r in results]
         max_disc = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
-    manifest = report.build_manifest(
+    manifest_args = (
         "capacity",
         {
             "lambda": args.lam,
@@ -140,14 +152,14 @@ def cmd_capacity(args) -> int:
             "route": args.route,
             "horizon": args.horizon,
         },
-        master_seed=None,
+        None,
     )
     _emit(
         args,
         report.capacity_text(params, results, max_disc),
         report.capacity_csv(results),
         report.capacity_payload(params, results, max_disc),
-        manifest,
+        manifest_args,
     )
     return 0
 
@@ -161,7 +173,7 @@ def cmd_simulate(args) -> int:
     coeffs = abel_for_channel(params)
     traj = integrate_abel(coeffs, horizon=cfg.horizon, step=cfg.horizon / max(cfg.steps, 200))
     rep = run_sk_scheme(params, cfg, traj)
-    manifest = report.build_manifest(
+    manifest_args = (
         "simulate",
         {
             "lambda": args.lam,
@@ -171,7 +183,7 @@ def cmd_simulate(args) -> int:
             "steps": args.steps,
             "trials": args.trials,
         },
-        master_seed=args.seed,
+        args.seed,
     )
     summary = f"max MMSE z-score {report.max_mmse_z(rep):.3f} (empirical vs analytic)"
     if args.out is not None:
@@ -185,6 +197,7 @@ def cmd_simulate(args) -> int:
             report.dump_json(report.simulate_payload(params, cfg, rep)),
             encoding="utf-8",
         )
+        manifest = report.build_manifest(*manifest_args)
         manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
         print(summary)
         print(f"wrote {csv_path}, {json_path} and {manifest_path}")
@@ -214,7 +227,7 @@ def cmd_spectrum(args) -> int:
             flat_noise = (w / (2.0 * np.pi)) * np.log1p(np.pi * params.power / w)
             rows.append((float(w), level, rate, float(flat_noise)))
         header = ["band", "level", "rate", "analytic_limit"]
-    manifest = report.build_manifest(
+    manifest_args = (
         "spectrum",
         {
             "lambda": args.lam,
@@ -223,14 +236,14 @@ def cmd_spectrum(args) -> int:
             "sweep": args.sweep,
             "band": args.band,
         },
-        master_seed=None,
+        None,
     )
     _emit(
         args,
         report.spectrum_text(args.sweep, header, rows),
         report.spectrum_csv(header, rows),
         report.spectrum_payload(params, args.sweep, header, rows),
-        manifest,
+        manifest_args,
     )
     return 0
 

@@ -45,13 +45,5 @@ class StationarityViolated(OucapError):
     """A sampled stationarized-noise path failed its one-lag recursion identity."""
 
 
-class DegenerateNoise(OucapError):
-    """An input band degenerates to zero width, leaving nothing to integrate."""
-
-
-class CrossCheckFailed(OucapError):
-    """A closed form disagreed with the independent quadrature that checks it."""
-
-
 class BackendUnavailable(OucapError, RuntimeError):
     """The requested simulation backend is not built in this installation."""

@@ -109,6 +109,16 @@ class GridKernel:
         return cls(grid=grid, values=vals)
 
 
+def _real(t):
+    """A Python number as a float, anything else as a float array."""
+    return float(t) if isinstance(t, (float, int)) else np.asarray(t, dtype=float)
+
+
+def _exp(x):
+    """math.exp on a float, np.exp on an array."""
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
 def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     """The channel's resolvent kernel in separable form.
 
@@ -124,6 +134,8 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
 
     The ratio callables are algebraically normalized so they stay finite
     for arbitrarily large t (the raw factors overflow near t ~ 700/|k+l|).
+    They answer a Python float with a float computed by math, which is what
+    the ODE integrator calls them with, and an array with an array.
     """
     lam, kap = params.lam, params.kappa
     a = kap + lam
@@ -133,9 +145,8 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
         l_d_prime = lambda s: kap * np.ones_like(np.asarray(s, dtype=float))
         kernel = SeparableKernel(
             l_u=l_u, l_d=l_d, l_d_prime=l_d_prime, alpha=kap, beta=0.0,
-            lu_over_ld=lambda t: kap * (kap * np.asarray(t, float) + 1.0)
-                                 / (kap * np.asarray(t, float) + 2.0),
-            ld_prime_over_ld=lambda t: kap / (kap * np.asarray(t, float) + 2.0))
+            lu_over_ld=lambda t: kap * (kap * _real(t) + 1.0) / (kap * _real(t) + 2.0),
+            ld_prime_over_ld=lambda t: kap / (kap * _real(t) + 2.0))
     else:
         b = 2.0 * kap + lam
 
@@ -156,26 +167,22 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
             alpha, beta = -lam, a
 
             def lu_over_ld(t):
-                t = np.asarray(t, dtype=float)
-                w = (lam * lam / (b * b)) * np.exp(-2.0 * a * t)
-                return (lam + (lam * lam / b) * np.exp(-2.0 * a * t)) / (w - 1.0)
+                e = _exp(-2.0 * a * _real(t))
+                return (lam + (lam * lam / b) * e) / ((lam * lam / (b * b)) * e - 1.0)
 
             def ld_prime_over_ld(t):
-                t = np.asarray(t, dtype=float)
-                w = (lam * lam / (b * b)) * np.exp(-2.0 * a * t)
+                w = (lam * lam / (b * b)) * _exp(-2.0 * a * _real(t))
                 return -a * (w + 1.0) / (w - 1.0)
         else:
             # divide through by lam^2 e^{-at}; w -> 0
             alpha, beta = b, -a
 
             def lu_over_ld(t):
-                t = np.asarray(t, dtype=float)
-                w = (b * b / (lam * lam)) * np.exp(2.0 * a * t)
-                return (b + (b * b / lam) * np.exp(2.0 * a * t)) / (1.0 - w)
+                e = _exp(2.0 * a * _real(t))
+                return (b + (b * b / lam) * e) / (1.0 - (b * b / (lam * lam)) * e)
 
             def ld_prime_over_ld(t):
-                t = np.asarray(t, dtype=float)
-                w = (b * b / (lam * lam)) * np.exp(2.0 * a * t)
+                w = (b * b / (lam * lam)) * _exp(2.0 * a * _real(t))
                 return -a * (1.0 + w) / (1.0 - w)
 
         kernel = SeparableKernel(l_u=l_u, l_d=l_d, l_d_prime=l_d_prime,

@@ -13,12 +13,18 @@ import datetime
 import io
 import json
 import math
-from importlib import metadata
 
-try:
-    __version__ = metadata.version("oucap")
-except metadata.PackageNotFoundError:  # pragma: no cover - source tree use
-    __version__ = "0.1.0"
+
+def version() -> str:
+    """The installed package's version, looked up on call: importing
+    importlib.metadata costs tens of milliseconds, which only a manifest or
+    --version needs to pay."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("oucap")
+    except metadata.PackageNotFoundError:  # pragma: no cover - source tree use
+        return "0.1.0"
 
 
 def _jsonable(value):
@@ -45,7 +51,7 @@ def build_manifest(subcommand: str, parameters: dict, master_seed: int | None) -
     return {
         "subcommand": subcommand,
         "parameters": parameters,
-        "version": __version__,
+        "version": version(),
         "master_seed": master_seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -1,11 +1,11 @@
 """Bracketed scalar root finding used by the discrete-limit and water-filling
 solvers.
 
-Thin wrapper over Brent's method: callers supply an initial bracket, the
-helper expands it geometrically if the sign change is not yet inside, and
-raises RootNotBracketed instead of diverging.  Tolerance is absolute 1e-12
-on x by default.  scipy.optimize is imported on the first call, so routes
-that find no root this way (the closed form among them) never load it.
+Callers supply an initial bracket; the helper expands it geometrically if
+the sign change is not yet inside, and raises RootNotBracketed instead of
+diverging.  The root is then bisected until the midpoint rounds onto an
+endpoint, so the result is the float next to the sign change: accurate
+relative to its own size, however small the root is.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ from typing import Callable
 
 from .errors import RootNotBracketed
 
-XTOL = 1e-12
 _MAX_EXPANSIONS = 60
 
 
-def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                   xtol: float = XTOL) -> float:
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f in [lo, hi], expanding hi geometrically if needed.
 
     f(lo) and f(hi) must end up with opposite signs; a root exactly at an
-    endpoint is returned immediately.
+    endpoint, or at a midpoint, is returned immediately.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -34,11 +32,26 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
         if fhi == 0.0:
             return hi
         if (flo < 0.0) != (fhi < 0.0):
-            from scipy.optimize import brentq
-
-            return float(brentq(f, lo, hi, xtol=xtol, rtol=1e-15))
+            return _bisect(f, lo, hi, flo < 0.0)
         width *= 2.0
         hi = lo + width
         fhi = f(hi)
     raise RootNotBracketed(
         f"no sign change in [{lo}, {hi}] after {_MAX_EXPANSIONS} expansions")
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float,
+            rising: bool) -> float:
+    # halve until no float lies strictly between the endpoints; `rising`
+    # says whether f is negative at lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid

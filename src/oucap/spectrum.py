@@ -1,7 +1,11 @@
 """Non-feedback rates: the mutual-information-rate integral for stationary
 Gaussian inputs, flat-input limit sweeps, and band-limited water-filling
-against the channel's noise spectral density.  scipy.integrate is imported by
-the quadratures, on their first call.
+against the channel's noise spectral density.
+
+Every integral here is exact: on a band of constant input density, and on
+the water-filling wet set, the integrand is the log of a ratio of two
+quadratics in x, whose antiderivative is closed-form (x log plus two atan
+terms).  The water-filling level is the one root found numerically.
 """
 
 from __future__ import annotations
@@ -9,13 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import ChannelParams, noise_sdf
-from .errors import CrossCheckFailed, DegenerateNoise
 from .roots import bracketed_root
 
-QUAD_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
@@ -59,37 +59,49 @@ class InputSpectrum:
         )
 
 
+def _log_ratio_antiderivative(x: float, p: float, q: float, c: float) -> float:
+    """Antiderivative, zero at x = 0, of log((a x^2 + b)/(x^2 + c^2)) where
+    a = 1 + p and b = c^2 + q.
+
+    It is x log(...) + 2 sqrt(b/a) atan(x sqrt(a/b)) - 2c atan(x/c); the -2x
+    terms of the two logs cancel.  The log is taken as
+    log1p((p x^2 + q)/(x^2 + c^2)), so that a ratio close to 1 (a band far
+    out, or a faint input) keeps its digits.  An atan term whose constant is
+    0 is dropped, and so is x log(...) at x = 0, where it tends to 0 even if
+    c = 0.
+    """
+    if x == 0.0:
+        return 0.0
+    x2 = x * x
+    value = x * math.log1p((p * x2 + q) / (x2 + c * c))
+    b = c * c + q
+    if b > 0.0:
+        root = math.sqrt(b / (1.0 + p))
+        value += 2.0 * root * math.atan(x / root)
+    if c > 0.0:
+        value -= 2.0 * c * math.atan(x / c)
+    return value
+
+
 def pinsker_rate(spectrum: InputSpectrum, params: ChannelParams) -> float:
     """(1/4pi) * integral of log(1 + S_x/S_z) over the input support.
 
-    The noise density vanishes only at x=0 (when lam = -kappa); the log
-    singularity there is integrable and the quadrature splits at the origin.
+    With c = |kappa + lam| and s = 2 pi d, a band of density d integrates
+    log(1 + d/S_z) = log((a x^2 + b)/(x^2 + c^2)) with a = 1 + s and
+    b = c^2 + s kappa^2, which has a closed-form antiderivative.  The
+    integrable log singularity at x = 0 when lam = -kappa needs no special
+    care.
     """
-    from scipy.integrate import quad
-
+    kappa = params.kappa
+    c = abs(params.lam + kappa)
     total = 0.0
-    noise_root = params.lam == -params.kappa
     for (lo, hi), density in spectrum.bands:
         if density == 0.0:
             continue
-        if noise_root and lo <= 0.0 <= hi and hi > lo:
-            if lo == 0.0 or hi == 0.0:
-                pieces = [(lo, hi)]
-            else:
-                pieces = [(lo, 0.0), (0.0, hi)]
-        else:
-            pieces = [(lo, hi)]
-        for a, b in pieces:
-            def integrand(x: float) -> float:
-                sz = noise_sdf(params, x)
-                if sz == 0.0:
-                    raise DegenerateNoise(
-                        "noise spectral density vanishes inside the input support"
-                    )
-                return math.log1p(density / sz)
-
-            val, _err = quad(integrand, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-            total += val
+        s = TWO_PI * density
+        q = s * kappa * kappa
+        total += (_log_ratio_antiderivative(hi, s, q, c)
+                  - _log_ratio_antiderivative(lo, s, q, c))
     return total / (4.0 * math.pi)
 
 
@@ -188,51 +200,23 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
     a, b = _wet_boundary(params, level, band)
     if b <= a:
         return level, 0.0
-
-    def integrand(x: float) -> float:
-        return math.log(level / noise_sdf(params, x))
-
-    lo = a
-    pieces = []
-    if params.lam == -params.kappa and lo == 0.0:
-        # integrable log singularity at the origin; keep it at an endpoint
-        pieces.append((0.0, min(b, 1e-3)))
-        lo = min(b, 1e-3)
-    if b > lo:
-        pieces.append((lo, b))
-    from scipy.integrate import quad
-
-    rate = 0.0
-    for x0, x1 in pieces:
-        val, _err = quad(integrand, x0, x1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-        rate += val
+    # log(level/S_z) = log(2 pi level) + log((x^2 + kappa^2)/(x^2 + c^2))
+    kappa = params.kappa
+    c = abs(params.lam + kappa)
+    q = (kappa - c) * (kappa + c)
+    rate = (math.log(TWO_PI * level) * (b - a)
+            + _log_ratio_antiderivative(b, 0.0, q, c)
+            - _log_ratio_antiderivative(a, 0.0, q, c))
     return level, rate / TWO_PI
 
 
-def p_max(params: ChannelParams, cross_check: bool = False) -> float:
+def p_max(params: ChannelParams) -> float:
     """Total water the noise well holds below the flat floor 1/(2 pi).
 
     Equals (kappa^2 - (kappa+lam)^2)/(2 kappa); positive exactly in the
     ColoredGain regime, where it bounds the power for which the filled band
-    stays finite.  With cross_check=True the closed form is verified against
-    direct quadrature of (1/2pi - S_z), and a disagreement raises
-    CrossCheckFailed.
+    stays finite.
     """
     kappa = params.kappa
     c = params.lam + kappa
-    value = (kappa * kappa - c * c) / (2.0 * kappa)
-    if cross_check:
-        from scipy.integrate import quad
-
-        integral, _err = quad(
-            lambda x: 1.0 / TWO_PI - noise_sdf(params, x),
-            0.0,
-            np.inf,
-            epsabs=QUAD_TOL,
-            limit=400,
-        )
-        if abs(2.0 * integral - value) > 1e-7 * max(1.0, abs(value)):
-            raise CrossCheckFailed(
-                f"water-volume quadrature {2.0 * integral} disagrees with closed form {value}"
-            )
-    return value
+    return (kappa * kappa - c * c) / (2.0 * kappa)

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the library's own numerics: plain
-bisection instead of Brent, direct quadrature of defining integrals, and
+bisection, direct quadrature of defining integrals where the library uses
+closed forms, scipy's integrators where the library has its own, and
 explicit closed forms, so agreement is evidence rather than tautology.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import dblquad, quad, solve_ivp
 from scipy.signal import lfilter
 
 from oucap.errors import FilterDivergence
@@ -244,3 +245,74 @@ def lfilter_stationary_arma_noise(params, cfg) -> np.ndarray:
         w = lfilter([0.0, 1.0], [1.0, -u], b)
         out[i] = b + params.lam * (rho * w + (rho * m_delta * zeta0) * decay)
     return out
+
+
+def _sdf(lam: float, kappa: float, x: float) -> float:
+    return (x * x + (kappa + lam) ** 2) / (2.0 * math.pi * (x * x + kappa * kappa))
+
+
+def _quad_log_spaced(f, u: float, v: float) -> float:
+    """Integral of f over [u, v], 0 <= u < v, by quad on pieces split at the
+    powers of ten, so that features near 0 at any scale are resolved."""
+    cuts = [u] + [10.0 ** k for k in range(-15, 12) if u < 10.0 ** k < v] + [v]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+               for a, b in zip(cuts, cuts[1:]))
+
+
+def pinsker_rate_quad(bands, lam: float, kappa: float) -> float:
+    """(1/4pi) integral of log(1 + d/S_z) over ((lo, hi), d) bands, by
+    log-spaced piecewise quadrature of the even integrand."""
+    total = 0.0
+    for (lo, hi), d in bands:
+        f = lambda x, d=d: math.log1p(d / _sdf(lam, kappa, x))
+        if lo < 0.0 < hi:
+            total += _quad_log_spaced(f, 0.0, -lo) + _quad_log_spaced(f, 0.0, hi)
+        elif hi <= 0.0:
+            total += _quad_log_spaced(f, -hi, -lo)
+        else:
+            total += _quad_log_spaced(f, lo, hi)
+    return total / (4.0 * math.pi)
+
+
+def waterfill_rate_quad(lam: float, kappa: float, band: float, level: float) -> float:
+    """(1/4pi) integral over [-band, band] of log(max(level/S_z, 1)): the wet
+    set is rebuilt by bisection on S_z = level, then integrated piecewise."""
+    gap = lambda x: _sdf(lam, kappa, x) - level
+    g0, g_edge = gap(0.0), gap(band)
+    if g0 >= 0.0 and g_edge >= 0.0:
+        return 0.0
+    if g0 < 0.0 and g_edge < 0.0:
+        a, b = 0.0, band
+    elif g0 < 0.0:
+        a, b = 0.0, bisect_root(gap, 0.0, band)
+    else:
+        a, b = bisect_root(gap, 0.0, band), band
+    f = lambda x: math.log(level / _sdf(lam, kappa, x))
+    return _quad_log_spaced(f, a, b) / (2.0 * math.pi)
+
+
+def p_max_quad(lam: float, kappa: float) -> float:
+    """Water volume below the floor 1/(2 pi): 2 * integral over [0, inf) of
+    (1/(2 pi) - S_z), by quadrature."""
+    integral, _err = quad(lambda x: 1.0 / (2.0 * math.pi) - _sdf(lam, kappa, x),
+                          0.0, np.inf, epsabs=1e-10, limit=400)
+    return 2.0 * integral
+
+
+def abel_solve_ivp(coeffs, horizon: float, step: float):
+    """(g, log A) of the Abel ODE on the library's sample grid, by scipy's
+    RK45 with the library's tolerances and its dense output."""
+    power = coeffs.power
+    root2 = math.sqrt(2.0)
+
+    def rhs(t, y):
+        g = y[0]
+        return (-power * g ** 3 + (power / root2) * g * g
+                + coeffs.p(t) * g + coeffs.q(t) / root2, power * g * g)
+
+    times = np.linspace(0.0, horizon, int(math.ceil(horizon / step)) + 1)
+    sol = solve_ivp(rhs, (0.0, horizon), (1.0 / root2, 0.0), method="RK45",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    assert sol.success, sol.message
+    samples = sol.sol(times)
+    return samples[0], 0.5 * math.log(power) + samples[1]

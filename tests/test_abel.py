@@ -21,7 +21,7 @@ from oucap import (
 )
 from oucap.errors import KernelDomainMismatch
 
-from oracles import critical_cubic_root
+from oracles import abel_solve_ivp, critical_cubic_root
 
 SQRT2 = math.sqrt(2.0)
 
@@ -236,6 +236,34 @@ def test_non_finite_coefficients_raise_step_underflow():
         integrate_abel(bad, horizon=10.0, step=0.05)
 
 
+def test_singular_coefficient_raises_step_underflow():
+    # q grows like (1 - t)^-2: the right-hand side stays finite below t = 1
+    # while the step shrinks onto the float spacing there
+    bad = AbelCoefficients(
+        p=lambda t: 0.0 * t,
+        q=lambda t: 1.0 / (1.0 - t) ** 2 if t != 1.0 else math.inf,
+        p_limit=0.0,
+        q_limit=0.0,
+        power=2.0,
+    )
+    with pytest.raises(StepSizeUnderflow, match="step size"):
+        integrate_abel(bad, horizon=10.0, step=0.05)
+
+
+def test_overflowing_solution_raises_step_underflow():
+    # a huge jump in q drives g past the float range within one step; the
+    # cube must overflow to inf and be reported, not raise OverflowError
+    bad = AbelCoefficients(
+        p=lambda t: 0.0 * t,
+        q=lambda t: 0.0 if t < 1.0 else 1e300,
+        p_limit=0.0,
+        q_limit=0.0,
+        power=2.0,
+    )
+    with pytest.raises(StepSizeUnderflow):
+        integrate_abel(bad, horizon=10.0, step=0.05)
+
+
 def test_mirror_symmetry_of_channel_coefficients():
     kappa = 1.0
     for lam in (-0.4, -0.9, -1.6):
@@ -257,3 +285,26 @@ def test_kernel_factorization_scale_invariance_of_coefficients():
         assert np.array_equal(np.asarray(base.q(t)), np.asarray(scaled.q(t)))
         assert scaled.p_limit == base.p_limit
         assert scaled.q_limit == base.q_limit
+
+
+@pytest.mark.parametrize("lam,kappa,power", [
+    (-0.5, 1.0, 2.0),   # colored
+    (-1.4, 1.0, 1.0),   # colored
+    (-1.0, 1.0, 2.0),   # critical coloring
+    (0.5, 1.0, 2.0),    # white-equivalent, above
+    (-2.6, 1.0, 2.0),   # white-equivalent, below
+    (0.0, 1.0, 2.0),    # boundary lam = 0
+    (-2.0, 1.0, 2.0),   # boundary lam = -2 kappa
+])
+def test_integrate_abel_matches_solve_ivp_oracle(lam, kappa, power):
+    params = ChannelParams(lam, kappa, power)
+    coeffs = abel_for_channel(params)
+    for horizon, step in ((50.0, 0.05), (10.0, 0.001)):
+        traj = integrate_abel(coeffs, horizon=horizon, step=step)
+        g, log_a = abel_solve_ivp(coeffs, horizon, step)
+        assert np.max(np.abs(traj.g - g)) < 1e-11
+        assert np.max(np.abs(traj.log_a - log_a)) < 1e-11
+    # the ODE route's value, where it settles, is the oracle's P g(T)^2
+    if abs(lam + kappa) > 0.0:
+        value = sk_rate_from_ode(integrate_abel(coeffs, horizon=50.0, step=0.05)).value
+        assert abs(value - power * float(abel_solve_ivp(coeffs, 50.0, 0.05)[0][-1]) ** 2) < 1e-9

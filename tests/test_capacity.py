@@ -10,6 +10,7 @@ from oucap import (
     ChannelParams,
     DEFAULT_SWEEP_DELTAS,
     InvalidArma,
+    RootNotBracketed,
     Route,
     arma_from_step,
     discrete_limit_capacity,
@@ -17,6 +18,7 @@ from oucap import (
     feedback_capacity_closed_form,
     solve_arma_quartic,
 )
+from oucap.roots import bracketed_root
 
 from oracles import (
     arma_quartic_bisection,
@@ -210,6 +212,31 @@ def test_discrete_limit_residual_bounds_actual_error(triple, _expected):
     result = discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS)
     error = abs(result.value - feedback_capacity_closed_form(params).value)
     assert error <= result.residual < 1e-5
+
+
+def test_discrete_limit_refuses_fewer_than_three_deltas():
+    # one or two rates give no Richardson spread, hence no honest error bar:
+    # a single delta once returned 1.8136 with residual 0 against 2.1479
+    params = ChannelParams(-1.0, 1.0, 2.0)
+    for deltas in ((0.1,), (0.1, 0.05)):
+        with pytest.raises(ValueError):
+            discrete_limit_capacity(params, deltas)
+    assert discrete_limit_capacity(params, (0.1, 0.05, 0.025)).residual > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-12.0, max_value=6.0, **finite))
+def test_bracketed_root_relative_accuracy(log10_root):
+    # the bracket [0, 1] must expand for roots above 1, and bisection must
+    # run on to full relative precision for roots far below the bracket
+    root = 10.0 ** log10_root
+    found = bracketed_root(lambda x: (x - root) * (x + 1.0), 0.0, 1.0)
+    assert found == pytest.approx(root, rel=1e-14, abs=0.0)
+
+
+def test_bracketed_root_without_sign_change_is_typed():
+    with pytest.raises(RootNotBracketed):
+        bracketed_root(lambda x: x * x + 1.0, 0.0, 1.0)
 
 
 def test_discrete_limit_white_case():

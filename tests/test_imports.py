@@ -1,13 +1,14 @@
-"""Which scipy submodules each route loads, checked in fresh interpreters.
-
-`import oucap` and the closed-form route load no scipy at all; no route,
-simulation or spectrum ever loads scipy.signal or scipy.stats.
+"""The runtime needs numpy and the standard library only: checked in fresh
+interpreters, no import, subcommand or public entry point loads any scipy
+module, and `import oucap` does not load importlib.metadata.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import oucap
 
@@ -34,6 +35,7 @@ def test_import_and_closed_form_cli_load_no_scipy():
     out = run_fresh("""
 import oucap
 assert scipy_modules() == [], scipy_modules()
+assert "importlib.metadata" not in sys.modules
 from oucap.cli import main
 assert main(["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2",
              "--route", "closed", "--format", "json"]) == 0
@@ -45,6 +47,8 @@ print("ok")
 
 def test_no_route_loads_scipy_signal_or_stats():
     out = run_fresh("""
+import tempfile
+
 from oucap import *
 from oucap.cli import main
 
@@ -53,8 +57,13 @@ for params in (colored, ChannelParams(0.5, 1.0, 2.0), ChannelParams(-1.0, 1.0, 2
     feedback_capacity_closed_form(params)
     discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS)
     integrate_abel(abel_for_channel(params), horizon=10.0, step=0.01)
+    discrete_limit_sweep(params, (1e-2, 1e-3))
+    solve_arma_quartic(arma_from_step(params, 1e-2))
+    classify_regime(params)
+    noise_sdf(params, 0.5)
 sk_rate_from_ode(integrate_abel(abel_for_channel(colored), horizon=50.0, step=0.05))
 classify_root_convergence(abel_for_channel(colored), 50.0)
+limiting_cubic_roots(abel_from_kernel(ou_resolvent_kernel(colored), 2.0))
 kernel = ou_resolvent_kernel(colored)
 traj = integrate_abel(abel_for_channel(colored), horizon=4.0, step=0.004)
 gain_from_kernel(traj, kernel)
@@ -62,8 +71,9 @@ l = sample_kernel(kernel, horizon=4.0, n=101)
 resolvent_residual(recover_h_from_l(l), l)
 
 cfg = SimConfig(horizon=4.0, steps=200, trials=8, master_seed=1)
-simulate_noise(colored, cfg)
-stationary_arma_noise(colored, cfg)
+path = simulate_noise(colored, cfg)
+arma_recursion_residual(stationary_arma_noise(colored, cfg)[0], path.brownian_increments,
+                        colored, cfg.delta)
 rep = run_sk_scheme(colored, cfg, traj, return_innovations=True)
 ljung_box(rep.innovations)
 decode_message(colored, cfg, traj, grid_size=16)
@@ -71,22 +81,49 @@ decode_message(colored, cfg, traj, grid_size=16)
 pinsker_rate(InputSpectrum.two_sided_flat(1.0, 2.0, 0.5), colored)
 flat_input_limit_sweep(colored, (4.0,), (8.0,))
 waterfill_bandlimited(colored, 10.0, 2.0)
-p_max(colored, cross_check=True)
+p_max(colored)
+available_backends()
+get_backend()
+assert isinstance(__version__, str)
 
 for argv in (
     ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "all"],
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "ode"],
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "discrete"],
     ["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2",
      "--horizon", "2", "--steps", "200", "--trials", "8"],
     ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1"],
     ["spectrum", "--lambda", "0", "--kappa", "1", "--power", "2",
-     "--sweep", "waterfill", "--band", "100"],
+     "--sweep", "waterfill", "--band", "100",
+     "--out", tempfile.mkdtemp() + "/waterfill"],
 ):
     assert main(argv + ["--format", "json"]) == 0
 
-loaded = scipy_modules()
-assert any(m.startswith("scipy.integrate") for m in loaded), loaded
-bad = [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
-assert bad == [], bad
+assert scipy_modules() == [], scipy_modules()
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+README_EXAMPLES = (
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "closed"],
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "all"],
+    ["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2", "--trials", "20",
+     "--steps", "200", "--seed", "0", "--out", "{tmp}/runs/base"],
+    ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1", "--sweep", "flat"],
+    ["spectrum", "--lambda", "0", "--kappa", "1", "--power", "2", "--sweep", "waterfill",
+     "--band", "1000"],
+)
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=(
+    "capacity-closed", "capacity-all", "simulate", "spectrum-flat", "spectrum-waterfill"))
+def test_readme_cli_example_loads_no_scipy(argv, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    out = run_fresh(f"""
+from oucap.cli import main
+assert main({argv!r}) == 0
+assert scipy_modules() == [], scipy_modules()
 print("ok")
 """)
     assert out.rstrip().endswith("ok")

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +368,26 @@ def test_decode_error_rate_decreases_with_horizon():
         errs.append(decode_message(params, cfg, traj, grid_size=m))
     assert errs[1] <= errs[0]
     assert errs[0] < 0.2
+
+
+def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std):
+    # a batch draws 2 * batch_size * steps normals; holding the previous
+    # batch while drawing the next doubles the peak.  The per-trial state
+    # (seed sequences, output rows) stays small against that at this shape.
+    cfg = SimConfig(horizon=10.0, steps=2000, trials=192, master_seed=73,
+                    batch_size=64, output_points=11)
+    batch_bytes = 2 * cfg.batch_size * cfg.steps * 8
+    warm = replace(cfg, trials=1)
+    for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
+                lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
+        run(warm)  # one-off allocations of a first call are not per batch
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch_bytes
 
 
 def test_ljung_box_rejects_correlated_series():
