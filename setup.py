@@ -2,7 +2,7 @@
 
 The package is pure Python plus one optional extension (oucap._sk_core).
 If Cython or a C compiler is unavailable the install proceeds without it
-and the numpy fallback backend is used at runtime.
+and the numpy kernel runs in its place.
 """
 
 from setuptools import setup

@@ -18,7 +18,6 @@ from .abel import (
     limiting_cubic_roots,
     sk_rate_from_ode,
 )
-from .backends import available_backends, get_backend
 from .capacity import (
     ArmaParams,
     DEFAULT_SWEEP_DELTAS,
@@ -38,7 +37,6 @@ from .channel import (
     noise_sdf,
 )
 from .errors import (
-    BackendUnavailable,
     DegenerateKernel,
     FilterDivergence,
     GridMismatch,
@@ -80,7 +78,6 @@ from .spectrum import (
 __all__ = [
     "AbelCoefficients",
     "ArmaParams",
-    "BackendUnavailable",
     "CapacityResult",
     "ChannelParams",
     "DEFAULT_SWEEP_DELTAS",
@@ -110,7 +107,6 @@ __all__ = [
     "abel_from_kernel",
     "arma_from_step",
     "arma_recursion_residual",
-    "available_backends",
     "classify_regime",
     "classify_root_convergence",
     "decode_message",
@@ -119,7 +115,6 @@ __all__ = [
     "feedback_capacity_closed_form",
     "flat_input_limit_sweep",
     "gain_from_kernel",
-    "get_backend",
     "integrate_abel",
     "limiting_cubic_roots",
     "ljung_box",

@@ -1,8 +1,9 @@
 # cython: language_level=3
-"""Compiled backend for the per-step feedback-filter recursion.
+"""Compiled kernel for the per-step feedback-filter recursion.
 
+When the build compiles it, simulation uses it in place of oucap._sk_numpy.
 Arithmetic mirrors oucap._sk_numpy operation for operation (left-associated
-sums, no reordering), so both backends produce bit-identical trajectories.
+sums, no reordering), so both kernels produce bit-identical trajectories.
 The loop releases the GIL; batches can therefore run on worker threads.
 """
 

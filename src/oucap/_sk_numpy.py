@@ -1,7 +1,9 @@
-"""Pure-numpy backend for the per-step feedback-filter recursion.
+"""Pure-numpy kernel for the per-step feedback-filter recursion.
 
-Mirrors oucap._sk_core exactly: same draw layout, same arithmetic order
-(left-associated sums, no fused operations), so the two backends produce
+It runs where the compiled oucap._sk_core is not built (oucap.backends), and
+it is the reference the compiled kernel is tested against.  It mirrors
+oucap._sk_core exactly: same draw layout, same arithmetic order
+(left-associated sums, no fused operations), so the two kernels produce
 bit-identical trajectories on IEEE-754 hardware.  Its per-step loop holds
 the GIL, so simulate runs its batches on the calling thread.
 """

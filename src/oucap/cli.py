@@ -2,12 +2,11 @@
 
 Subcommands: capacity (closed-form / ODE-limit / discrete-limit routes),
 simulate (Monte Carlo of the feedback scheme), spectrum (non-feedback
-sweeps).  Exit codes: 0 success, 2 invalid flags or parameters (including
-an OUCAP_BACKEND that names an unknown or unbuilt backend), 3 a computation
-failed to converge, 4 filter divergence.  Text output is
+sweeps).  Exit codes: 0 success, 2 invalid flags or parameters, 3 a
+computation failed to converge, 4 filter divergence.  Text output is
 human-oriented and unstable; CSV and JSON are the compatibility surface.
 When --out is given, data files are written together with a
-`<out>.manifest.json` recording parameters, version, seed, and timestamp.
+`.manifest.json` sidecar recording parameters, version, seed, and timestamp.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .capacity import (
     feedback_capacity_closed_form,
 )
 from .channel import ChannelParams
-from .errors import BackendUnavailable, FilterDivergence, NotConverged, OucapError
+from .errors import FilterDivergence, NotConverged, OucapError
 from .simulate import SimConfig, run_sk_scheme
 from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
 
@@ -35,6 +34,8 @@ SIM_HORIZON_DEFAULT = 10.0
 
 FLAT_N_DEFAULT = (16.0, 64.0, 256.0, 1024.0)
 FLAT_K_DEFAULT = (32.0, 128.0, 512.0, 4096.0)
+
+SUFFIXES = {"text": ".txt", "csv": ".csv", "json": ".json"}
 
 
 def _channel_args(sub: argparse.ArgumentParser) -> None:
@@ -68,9 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oucap",
         description="Feedback capacity of the OU-colored additive Gaussian "
         "noise channel: closed form, ODE and discrete limits, Monte Carlo, "
-        "and non-feedback spectra.  OUCAP_THREADS caps the compiled kernel's "
-        "thread pool; "
-        "OUCAP_BACKEND forces the simulation backend.",
+        "and non-feedback spectra.  Simulation runs the compiled kernel when "
+        "the build made it, and the numpy kernel otherwise.",
     )
     parser.add_argument("--version", action=_VersionAction)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -103,29 +103,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text_payload: str, csv_payload: str, json_payload: dict,
-          manifest_args: tuple, summary: str | None = None) -> None:
-    if args.format == "text":
-        data = text_payload
-    elif args.format == "csv":
-        data = csv_payload
+def _emit(args, payloads: dict, manifest_args: tuple, summary: str | None = None,
+          files: tuple | None = None) -> None:
+    """Print the summary, then payloads[args.format] or, with --out, the files.
+
+    payloads maps each format to its text.  By default --out receives the
+    chosen format (its suffix added when --out has none) and the manifest is
+    `<that file>.manifest.json`.  `files` instead names the formats written
+    side by side as `<out stem><suffix>`, with the manifest at
+    `<out stem>.manifest.json`.
+    """
+    if summary:
+        print(summary)
+    if args.out is None:
+        sys.stdout.write(payloads[args.format])
+        return
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    if files is None:
+        fmt = args.format
+        stem = args.out if args.out.suffix else args.out.with_suffix(SUFFIXES[fmt])
+        targets = [(stem, fmt)]
     else:
-        data = report.dump_json(json_payload)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        suffix = {"text": ".txt", "csv": ".csv", "json": ".json"}[args.format]
-        target = args.out if args.out.suffix else args.out.with_suffix(suffix)
-        target.write_text(data, encoding="utf-8")
-        manifest_path = Path(str(target) + ".manifest.json")
-        manifest = report.build_manifest(*manifest_args)
-        manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
-        if summary:
-            print(summary)
-        print(f"wrote {target} and {manifest_path}")
-    else:
-        if summary:
-            print(summary)
-        sys.stdout.write(data)
+        stem = args.out.with_suffix("")
+        targets = [(stem.with_suffix(SUFFIXES[fmt]), fmt) for fmt in files]
+    for path, fmt in targets:
+        path.write_text(payloads[fmt], encoding="utf-8")
+    manifest_path = Path(str(stem) + ".manifest.json")
+    manifest = report.build_manifest(*manifest_args)
+    manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
+    written = [str(path) for path, _ in targets]
+    print(f"wrote {', '.join(written)} and {manifest_path}")
 
 
 def cmd_capacity(args) -> int:
@@ -154,13 +161,12 @@ def cmd_capacity(args) -> int:
         },
         None,
     )
-    _emit(
-        args,
-        report.capacity_text(params, results, max_disc),
-        report.capacity_csv(results),
-        report.capacity_payload(params, results, max_disc),
-        manifest_args,
-    )
+    payloads = {
+        "text": report.capacity_text(params, results, max_disc),
+        "csv": report.capacity_csv(results),
+        "json": report.dump_json(report.capacity_payload(params, results, max_disc)),
+    }
+    _emit(args, payloads, manifest_args)
     return 0
 
 
@@ -186,29 +192,12 @@ def cmd_simulate(args) -> int:
         args.seed,
     )
     summary = f"max MMSE z-score {report.max_mmse_z(rep):.3f} (empirical vs analytic)"
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        base = args.out.with_suffix("") if args.out.suffix else args.out
-        csv_path = base.with_suffix(".csv")
-        json_path = base.with_suffix(".json")
-        manifest_path = Path(str(base) + ".manifest.json")
-        csv_path.write_text(report.simulate_csv(rep), encoding="utf-8")
-        json_path.write_text(
-            report.dump_json(report.simulate_payload(params, cfg, rep)),
-            encoding="utf-8",
-        )
-        manifest = report.build_manifest(*manifest_args)
-        manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
-        print(summary)
-        print(f"wrote {csv_path}, {json_path} and {manifest_path}")
-    else:
-        print(summary)
-        if args.format == "csv":
-            sys.stdout.write(report.simulate_csv(rep))
-        elif args.format == "json":
-            sys.stdout.write(report.dump_json(report.simulate_payload(params, cfg, rep)))
-        else:
-            sys.stdout.write(report.simulate_text(params, cfg, rep))
+    payloads = {
+        "text": report.simulate_text(params, cfg, rep),
+        "csv": report.simulate_csv(rep),
+        "json": report.dump_json(report.simulate_payload(params, cfg, rep)),
+    }
+    _emit(args, payloads, manifest_args, summary, files=("csv", "json"))
     return 0
 
 
@@ -238,13 +227,12 @@ def cmd_spectrum(args) -> int:
         },
         None,
     )
-    _emit(
-        args,
-        report.spectrum_text(args.sweep, header, rows),
-        report.spectrum_csv(header, rows),
-        report.spectrum_payload(params, args.sweep, header, rows),
-        manifest_args,
-    )
+    payloads = {
+        "text": report.spectrum_text(args.sweep, header, rows),
+        "csv": report.spectrum_csv(header, rows),
+        "json": report.dump_json(report.spectrum_payload(params, args.sweep, header, rows)),
+    }
+    _emit(args, payloads, manifest_args)
     return 0
 
 
@@ -257,7 +245,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_spectrum(args)
-    except (ValueError, BackendUnavailable) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FilterDivergence as exc:

@@ -44,6 +44,3 @@ class FilterDivergence(OucapError):
 class StationarityViolated(OucapError):
     """A sampled stationarized-noise path failed its one-lag recursion identity."""
 
-
-class BackendUnavailable(OucapError, RuntimeError):
-    """The requested simulation backend is not built in this installation."""

@@ -17,9 +17,12 @@ Randomness contract (all stochastic entry points): trial i uses
 in order, a head block of 2 standard normals (Theta0 slot, then zeta0 slot,
 scaled by (2 kappa)^{-1/2}) followed by a (2, steps) standard-normal matrix
 whose first row scales into the Brownian increments and whose second row
-supplies the extra OU randomness.  Aggregation is in trial order with a fixed
-batch size, so results are bit-identical regardless of parallelism or
-backend.
+supplies the extra OU randomness (``_draw_trial``).  Aggregation is in trial
+order with a fixed batch size, so results are bit-identical regardless of
+batching, thread count, or which filter kernel the build provides.
+
+The filter loop runs in the kernel the build provides (oucap.backends): the
+compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid and the normal
@@ -29,6 +32,7 @@ CDF from the standard library, so simulation needs no scipy.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -132,11 +136,18 @@ class SimReport:
         ]
 
 
-def _trial_generator(master_seed: int, trial: int, total: int) -> np.random.Generator:
-    # child `trial` of the root sequence, built directly: identical stream to
-    # SeedSequence(master_seed).spawn(total)[trial] without the O(total) spawn
+def _draw_trial(master_seed: int, trial: int, steps: int):
+    """Trial `trial`'s generator and its standard draws, in contract order:
+    (generator, head of 2 normals, xi of shape (2, steps)).
+
+    The child seed is built directly; its stream is identical to
+    SeedSequence(master_seed).spawn(trials)[trial] without the O(trials) spawn.
+    """
     child = np.random.SeedSequence(master_seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.PCG64(child))
+    g = np.random.Generator(np.random.PCG64(child))
+    head = g.standard_normal(2)
+    xi = g.standard_normal((2, steps))
+    return g, head, xi
 
 
 def _step_constants(params: ChannelParams, delta: float) -> tuple[float, float, float, float]:
@@ -154,9 +165,7 @@ def simulate_noise(params: ChannelParams, cfg: SimConfig, trial: int = 0) -> Noi
     """Sample one channel-noise path (trial `trial` of cfg.trials)."""
     if not 0 <= trial < cfg.trials:
         raise ValueError("trial index out of range")
-    g = _trial_generator(cfg.master_seed, trial, cfg.trials)
-    head = g.standard_normal(2)
-    xi = g.standard_normal((2, cfg.steps))
+    _, head, xi = _draw_trial(cfg.master_seed, trial, cfg.steps)
     delta = cfg.delta
     u, _, rho, c2 = _step_constants(params, delta)
     zeta0 = head[1] / math.sqrt(2.0 * params.kappa)
@@ -199,11 +208,8 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     # runs over time with each step vectorised across trials
     bt = np.empty((n, m))
     tail = np.empty(m)
-    children = np.random.SeedSequence(cfg.master_seed).spawn(m)
     for i in range(m):
-        g = np.random.Generator(np.random.PCG64(children[i]))
-        head = g.standard_normal(2)
-        xi = g.standard_normal((2, n))
+        _, head, xi = _draw_trial(cfg.master_seed, i, n)
         tail[i] = rho * m_delta * (head[1] / math.sqrt(2.0 * kappa))
         bt[:, i] = sqrt_delta * xi[0]
     # w_k = sum_{i<k} e^{-kappa (t_k - t_{i+1})} B_i via the stable
@@ -341,7 +347,7 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
                    zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
 
 
-def _draw_batch(children, lo: int, hi: int, n: int):
+def _draw_batch(master_seed: int, lo: int, hi: int, n: int):
     m = hi - lo
     th0 = np.empty(m)
     zeta0 = np.empty(m)
@@ -349,9 +355,7 @@ def _draw_batch(children, lo: int, hi: int, n: int):
     xi2 = np.empty((m, n))
     gens = []
     for i in range(m):
-        g = np.random.Generator(np.random.PCG64(children[lo + i]))
-        head = g.standard_normal(2)
-        xi = g.standard_normal((2, n))
+        g, head, xi = _draw_trial(master_seed, lo + i, n)
         th0[i] = head[0]
         zeta0[i] = head[1]
         xi1[i] = xi[0]
@@ -360,22 +364,30 @@ def _draw_batch(children, lo: int, hi: int, n: int):
     return th0, zeta0, xi1, xi2, gens
 
 
+def _pool_width(kern, batches: int) -> int:
+    """Threads for the filter batches: one per CPU, at most one per batch, for
+    the compiled kernel, which releases the GIL; 1 for the numpy kernel, which
+    holds it, so that threads would only add switching."""
+    if kern.NAME == "numpy":
+        return 1
+    return max(1, min(os.cpu_count() or 1, batches))
+
+
 def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
-                  backend: str | None = None,
                   return_innovations: bool = False) -> SimReport:
     """Run the feedback scheme for cfg.trials trials and aggregate.
 
     `traj` must come from the gain ODE for the same parameters with horizon
     at least cfg.horizon.  Results are bit-identical for a fixed
-    (master_seed, cfg) across backends and thread counts.
+    (master_seed, cfg) whichever kernel the build provides and however many
+    threads run it; SimReport.backend names the kernel that ran.
     """
-    kern = backends.get_backend(backend)
+    kern = backends.get_backend()
     n = cfg.steps
     scheme = _prepare_scheme(params, cfg, traj)
     out_idx = np.unique(np.round(np.linspace(0, n, cfg.output_points)).astype(np.int64))
     n_out = out_idx.size
 
-    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
     edges = list(range(0, cfg.trials, cfg.batch_size)) + [cfg.trials]
     n_batches = len(edges) - 1
     # per-trial rows, so the reduction below is independent of batching
@@ -384,15 +396,14 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
 
     def run_batch(b: int):
         lo, hi = edges[b], edges[b + 1]
-        th0, zeta0, xi1, xi2, _ = _draw_batch(children, lo, hi, n)
+        th0, zeta0, xi1, xi2, _ = _draw_batch(cfg.master_seed, lo, hi, n)
         zeta0 = zeta0 * scheme.zeta_scale
         mtheta = np.empty(hi - lo)
         innov = innov_rows[lo:hi] if return_innovations else None
         kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sq_rows[lo:hi], mtheta, innov)
 
-    # a kernel that holds the GIL gains nothing from threads, only switching
-    workers = backends.thread_count(n_batches) if backends.releases_gil(kern) else 1
+    workers = _pool_width(kern, n_batches)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, range(n_batches)))
@@ -427,7 +438,7 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
 
 
 def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
-                   grid_size: int, backend: str | None = None) -> float:
+                   grid_size: int) -> float:
     """Empirical decoding error rate for a grid of `grid_size` messages.
 
     Message w in {1..M} maps to the equiprobable-cell Gaussian grid point
@@ -440,18 +451,17 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         raise ValueError("grid_size must be at least 1")
     if m_size == 1:
         return 0.0
-    kern = backends.get_backend(backend)
+    kern = backends.get_backend()
     n = cfg.steps
     scheme = _prepare_scheme(params, cfg, traj)
     out_idx = np.array([n], dtype=np.int64)
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
 
-    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
     errors = 0
     for lo in range(0, cfg.trials, cfg.batch_size):
         hi = min(lo + cfg.batch_size, cfg.trials)
-        _, zeta0, xi1, xi2, gens = _draw_batch(children, lo, hi, n)
+        _, zeta0, xi1, xi2, gens = _draw_batch(cfg.master_seed, lo, hi, n)
         sent = np.array([g.integers(1, m_size + 1) for g in gens])
         th0 = grid[sent - 1]
         zeta0 = zeta0 * scheme.zeta_scale

@@ -135,17 +135,17 @@ def _noise_antiderivative(params: ChannelParams, x: float) -> float:
     return (x + ((c * c - kappa * kappa) / kappa) * math.atan(x / kappa)) / TWO_PI
 
 
-def _wet_boundary(params: ChannelParams, level: float, band: float) -> tuple[float, float]:
+def _wet_boundary(params: ChannelParams, level: float, band: float,
+                  s0: float, s_edge: float) -> tuple[float, float]:
     """Wet subset of [0, band] where S_z <= level, as an interval (a, b).
 
-    The density is monotone in |x| (increasing when |lam+kappa| < kappa,
-    decreasing when > kappa, constant when equal), so the wet set on the
-    half-line is a single interval anchored at 0 or at the band edge.
+    s0 and s_edge are S_z(0) and S_z(band).  The density is monotone in |x|
+    (increasing when |lam+kappa| < kappa, decreasing when > kappa, constant
+    when equal), so the wet set on the half-line is a single interval
+    anchored at 0 or at the band edge.
     """
     kappa = params.kappa
     c = abs(params.lam + kappa)
-    s0 = noise_sdf(params, 0.0)
-    s_edge = noise_sdf(params, band)
     if c == kappa:
         return (0.0, band) if level >= s0 else (0.0, 0.0)
     denom = 1.0 - TWO_PI * level
@@ -164,9 +164,10 @@ def _wet_boundary(params: ChannelParams, level: float, band: float) -> tuple[flo
     return (min(x, band), band)
 
 
-def _wet_power(params: ChannelParams, level: float, band: float) -> float:
+def _wet_power(params: ChannelParams, level: float, band: float,
+               s0: float, s_edge: float) -> float:
     """Power absorbed at `level` over [-band, band]: integral of (level - S_z)+."""
-    a, b = _wet_boundary(params, level, band)
+    a, b = _wet_boundary(params, level, band, s0, s_edge)
     if b <= a:
         return 0.0
     filled = level * (b - a) - (
@@ -193,11 +194,11 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
     if power == 0.0:
         return s_min, 0.0
     level = bracketed_root(
-        lambda a: _wet_power(params, a, band) - power,
+        lambda a: _wet_power(params, a, band, s0, s_edge) - power,
         s_min,
         s_min + power / (2.0 * band) + s_max,
     )
-    a, b = _wet_boundary(params, level, band)
+    a, b = _wet_boundary(params, level, band, s0, s_edge)
     if b <= a:
         return level, 0.0
     # log(level/S_z) = log(2 pi level) + log((x^2 + kappa^2)/(x^2 + c^2))

@@ -1,72 +1,44 @@
+import numpy as np
 import pytest
 
-from oucap import BackendUnavailable, OucapError, available_backends, get_backend
-from oucap.backends import thread_count
+import oucap.backends as backends
+from oucap import ChannelParams, SimConfig, abel_for_channel, integrate_abel, run_sk_scheme
+from oucap.simulate import _draw_batch, _prepare_scheme
+
+compiled = pytest.mark.skipif(backends._sk_core is None,
+                              reason="compiled extension oucap._sk_core is not built")
 
 
-def test_available_backends_always_includes_numpy():
-    names = available_backends()
-    assert "numpy" in names
-    assert set(names) <= {"cython", "numpy"}
-    if "cython" in names:
-        assert names[0] == "cython"  # compiled backend preferred
+def test_get_backend_default_prefers_compiled():
+    expected = "numpy" if backends._sk_core is None else "cython"
+    assert backends.get_backend().NAME == expected
 
 
-def test_get_backend_explicit_names():
-    mod = get_backend("numpy")
-    assert mod.NAME == "numpy"
-    if "cython" in available_backends():
-        assert get_backend("cython").NAME == "cython"
-    with pytest.raises(ValueError):
-        get_backend("fortran")
+@compiled
+def test_built_kernel_is_the_one_used():
+    params = ChannelParams(-1.0, 1.0, 2.0)
+    cfg = SimConfig(horizon=2.0, steps=200, trials=8, master_seed=3)
+    traj = integrate_abel(abel_for_channel(params), horizon=2.0, step=0.002)
+    assert run_sk_scheme(params, cfg, traj).backend == "cython"
 
 
-def test_get_backend_env_override(monkeypatch):
-    monkeypatch.setenv("OUCAP_BACKEND", "numpy")
-    assert get_backend().NAME == "numpy"
-    monkeypatch.setenv("OUCAP_BACKEND", "  NUMPY ")
-    assert get_backend().NAME == "numpy"
-    monkeypatch.setenv("OUCAP_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        get_backend()
-    # explicit argument wins over the environment
-    monkeypatch.setenv("OUCAP_BACKEND", "bogus")
-    assert get_backend("numpy").NAME == "numpy"
-
-
-def test_get_backend_default_prefers_compiled(monkeypatch):
-    monkeypatch.delenv("OUCAP_BACKEND", raising=False)
-    mod = get_backend()
-    expected = available_backends()[0]
-    assert mod.NAME == expected
-
-
-def test_cython_request_without_extension(monkeypatch):
-    if "cython" in available_backends():
-        pytest.skip("compiled extension is built here")
-    with pytest.raises(RuntimeError):
-        get_backend("cython")
-
-
-def test_cython_request_without_extension_is_typed(monkeypatch):
-    if "cython" in available_backends():
-        pytest.skip("compiled extension is built here")
-    monkeypatch.setenv("OUCAP_BACKEND", "cython")
-    with pytest.raises(BackendUnavailable) as info:
-        get_backend()
-    assert isinstance(info.value, OucapError)
-
-
-def test_thread_count_caps_and_validates(monkeypatch):
-    monkeypatch.delenv("OUCAP_THREADS", raising=False)
-    assert thread_count(1) == 1
-    assert 1 <= thread_count(10**6)
-    monkeypatch.setenv("OUCAP_THREADS", "2")
-    assert thread_count(8) == 2
-    assert thread_count(1) == 1
-    monkeypatch.setenv("OUCAP_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count(4)
-    monkeypatch.setenv("OUCAP_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_count(4)
+@compiled
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.5])
+def test_compiled_kernel_matches_numpy_kernel(lam):
+    params = ChannelParams(lam, 1.0, 2.0)
+    cfg = SimConfig(horizon=5.0, steps=500, trials=37, master_seed=31)
+    traj = integrate_abel(abel_for_channel(params), horizon=5.0, step=0.005)
+    scheme = _prepare_scheme(params, cfg, traj)
+    th0, zeta0, xi1, xi2, _ = _draw_batch(cfg.master_seed, 0, cfg.trials, cfg.steps)
+    zeta0 = zeta0 * scheme.zeta_scale
+    out_idx = np.array([0, 1, 250, 499, 500], dtype=np.int64)
+    outputs = []
+    for kern in (backends._sk_numpy, backends._sk_core):
+        sqerr = np.empty((cfg.trials, out_idx.size))
+        mtheta = np.empty(cfg.trials)
+        innov = np.empty((cfg.trials, cfg.steps))
+        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
+                          out_idx, sqerr, mtheta, innov)
+        outputs.append((sqerr, mtheta, innov))
+    for want, got in zip(*outputs):
+        assert np.array_equal(want, got)

@@ -1,15 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 
-import oucap
-from oucap import available_backends
 from oucap.cli import main
 
 
@@ -162,19 +156,6 @@ def test_simulate_single_trial_half_widths(tmp_path, capsys):
     check("simulate", payload)
     assert payload["mmse_curve"][0]["mmse_hw"] is None
     assert payload["max_mmse_z"] is None or payload["max_mmse_z"] == 0.0
-
-
-def test_simulate_unbuilt_backend_exits_two_without_traceback():
-    if "cython" in available_backends():
-        pytest.skip("compiled extension is built here")
-    src = str(Path(oucap.__file__).resolve().parent.parent)
-    env = dict(os.environ, OUCAP_BACKEND="cython",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "oucap.cli", *SIM_ARGS],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr and "cython" in proc.stderr
 
 
 def test_simulate_rejects_zero_power(capsys):

@@ -82,8 +82,6 @@ pinsker_rate(InputSpectrum.two_sided_flat(1.0, 2.0, 0.5), colored)
 flat_input_limit_sweep(colored, (4.0,), (8.0,))
 waterfill_bandlimited(colored, 10.0, 2.0)
 p_max(colored)
-available_backends()
-get_backend()
 assert isinstance(__version__, str)
 
 for argv in (

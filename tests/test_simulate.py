@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -17,9 +18,7 @@ from oucap import (
     StationarityViolated,
     abel_for_channel,
     arma_recursion_residual,
-    available_backends,
     decode_message,
-    get_backend,
     integrate_abel,
     ljung_box,
     run_sk_scheme,
@@ -195,19 +194,19 @@ def test_recursion_residual_helper():
         assert arma_recursion_residual(z[i], b, params, cfg.delta) < 1e-12
 
 
-def test_run_sk_deterministic_and_backend_independent():
+def test_run_sk_deterministic_and_backend_independent(monkeypatch):
     cfg = SimConfig(horizon=5.0, steps=500, trials=300, master_seed=31)
     traj = make_traj(P_STD, 5.0)
-    a = run_sk_scheme(P_STD, cfg, traj, backend="numpy")
-    b = run_sk_scheme(P_STD, cfg, traj, backend="numpy")
+    a = run_sk_scheme(P_STD, cfg, traj)
+    b = run_sk_scheme(P_STD, cfg, traj)
     assert np.array_equal(a.mmse_emp, b.mmse_emp)
     assert np.array_equal(a.power_emp, b.power_emp)
-    from oucap import available_backends
-
-    if "cython" in available_backends():
-        c = run_sk_scheme(P_STD, cfg, traj, backend="cython")
-        assert np.array_equal(a.mmse_emp, c.mmse_emp)
-        assert np.array_equal(a.power_emp, c.power_emp)
+    # a build without the compiled extension runs the numpy kernel
+    monkeypatch.setattr(backends, "_sk_core", None)
+    c = run_sk_scheme(P_STD, cfg, traj)
+    assert c.backend == "numpy"
+    assert np.array_equal(a.mmse_emp, c.mmse_emp)
+    assert np.array_equal(a.power_emp, c.power_emp)
 
 
 def test_run_sk_batch_size_invariance(traj_std):
@@ -220,17 +219,16 @@ def test_run_sk_batch_size_invariance(traj_std):
 
 def test_run_sk_thread_invariance(traj_std, monkeypatch):
     cfg = SimConfig(horizon=10.0, steps=300, trials=500, master_seed=41, batch_size=64)
-    # every backend that really uses the pool (the compiled kernel, if built)
-    for name in available_backends():
-        if not backends.releases_gil(get_backend(name)):
-            continue
-        monkeypatch.setenv("OUCAP_THREADS", "1")
-        one = run_sk_scheme(P_STD, cfg, traj_std, backend=name)
-        monkeypatch.setenv("OUCAP_THREADS", "4")
-        four = run_sk_scheme(P_STD, cfg, traj_std, backend=name)
-        assert np.array_equal(one.mmse_emp, four.mmse_emp), name
+    # the kernel this build provides, on pools of width 1 and 4
+    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 1)
+    one = run_sk_scheme(P_STD, cfg, traj_std)
+    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 4)
+    four = run_sk_scheme(P_STD, cfg, traj_std)
+    assert np.array_equal(one.mmse_emp, four.mmse_emp)
+    monkeypatch.undo()
 
-    kern = get_backend("numpy")
+    monkeypatch.setattr(backends, "_sk_core", None)
+    kern = backends.get_backend()
     original = kern.filter_batch
     callers = set()
 
@@ -239,18 +237,23 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(kern, "filter_batch", spy)
-    monkeypatch.setenv("OUCAP_THREADS", "4")
-    a = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
+    a = run_sk_scheme(P_STD, cfg, traj_std)
     # the numpy kernel holds the GIL, so its batches stay on the calling thread
     assert callers == {threading.get_ident()}
     # forced onto the pool path, the numpy kernel must give the same results
-    monkeypatch.setattr(backends, "releases_gil", lambda k: True)
-    b = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
+    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 4)
+    b = run_sk_scheme(P_STD, cfg, traj_std)
     assert len(callers) > 1
-    monkeypatch.setenv("OUCAP_THREADS", "1")
-    c = run_sk_scheme(P_STD, cfg, traj_std, backend="numpy")
     assert np.array_equal(a.mmse_emp, b.mmse_emp)
-    assert np.array_equal(a.mmse_emp, c.mmse_emp)
+    assert np.array_equal(one.mmse_emp, a.mmse_emp)
+
+
+def test_pool_width_caps_at_cpus_and_batches():
+    compiled = type("Kernel", (), {"NAME": "cython"})
+    assert simulate._pool_width(compiled, 1) == 1
+    assert 1 <= simulate._pool_width(compiled, 10**6) <= (os.cpu_count() or 1)
+    assert simulate._pool_width(compiled, 2) == min(2, os.cpu_count() or 1)
+    assert simulate._pool_width(backends._sk_numpy, 8) == 1
 
 
 @pytest.mark.parametrize("lam,kappa", [
