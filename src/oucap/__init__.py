@@ -37,7 +37,6 @@ from .channel import (
     noise_sdf,
 )
 from .errors import (
-    DegenerateKernel,
     FilterDivergence,
     GridMismatch,
     InvalidArma,
@@ -81,7 +80,6 @@ __all__ = [
     "CapacityResult",
     "ChannelParams",
     "DEFAULT_SWEEP_DELTAS",
-    "DegenerateKernel",
     "DeltaSweep",
     "FilterDivergence",
     "GridKernel",

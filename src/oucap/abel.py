@@ -29,6 +29,9 @@ from .errors import KernelDomainMismatch, NotConverged, StepSizeUnderflow
 from .kernels import SeparableKernel, ou_resolvent_kernel
 
 SQRT2 = math.sqrt(2.0)
+# relative residual of the gain identity above which gain_from_kernel rejects
+# the kernel as not matching the trajectory
+GAIN_IDENTITY_RTOL = 1e-3
 
 ONE_REAL = "OneReal"
 THREE_DISTINCT = "ThreeDistinct"
@@ -94,7 +97,6 @@ class OdeTrajectory:
     g: np.ndarray
     log_a: np.ndarray
     r_limit: float
-    converged_root_index: int
     power: float
 
     @property
@@ -278,10 +280,9 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
     tolerance 1e-10 and absolute tolerance 1e-12, on Python floats; log A is
     accumulated as an extra state so amplitude quadrature shares the
     integrator's error control.  The samples come from each step's quartic
-    dense output.  r_limit = g(horizon); converged_root_index is the nearest
-    real root of the limiting cubic (index into limiting_cubic_roots'
-    ascending list).  A non-finite right-hand side, or a step size that
-    underflows, raises StepSizeUnderflow.
+    dense output.  r_limit = g(horizon); classify_root_convergence names the
+    limiting-cubic root it settles on.  A non-finite right-hand side, or a
+    step size that underflows, raises StepSizeUnderflow.
     """
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
@@ -318,11 +319,8 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
     if not np.all(np.isfinite(g)):
         raise StepSizeUnderflow("non-finite solution samples")
     log_a = 0.5 * math.log(P) + dense(s0, qs)
-    r_limit = float(g[-1])
-    _, roots = limiting_cubic_roots(coeffs)
-    idx = int(np.argmin([abs(r - r_limit) for r in roots]))
-    return OdeTrajectory(times=times, g=g, log_a=log_a, r_limit=r_limit,
-                         converged_root_index=idx, power=P)
+    return OdeTrajectory(times=times, g=g, log_a=log_a, r_limit=float(g[-1]),
+                         power=P)
 
 
 def _tail_gap(traj: OdeTrajectory) -> tuple[float, int]:
@@ -368,15 +366,14 @@ def classify_root_convergence(coeffs: AbelCoefficients,
     return RootConvergence(case=case, roots=roots, root_index=idx)
 
 
-def gain_from_kernel(traj: OdeTrajectory, kernel: SeparableKernel,
-                     identity_rtol: float = 1e-3) -> np.ndarray:
+def gain_from_kernel(traj: OdeTrajectory, kernel: SeparableKernel) -> np.ndarray:
     """Gain curve H(t_i) = A(t_i) + (1/l_d(t_i)) int_0^{t_i} l_u A ds by
     trapezoid accumulation on the trajectory grid.
 
     Also asserts the defining identity sqrt(2) g A l_d = l_d A + int l_u A
-    on the grid; a relative residual above identity_rtol means the kernel
-    does not match the trajectory's coefficients (or the grid is far too
-    coarse) and raises KernelDomainMismatch.  The default guard is loose;
+    on the grid; a relative residual above GAIN_IDENTITY_RTOL means the
+    kernel does not match the trajectory's coefficients (or the grid is far
+    too coarse) and raises KernelDomainMismatch.  The guard is loose;
     precision studies belong to the caller, who controls the grid.
     """
     t = traj.times
@@ -393,8 +390,8 @@ def gain_from_kernel(traj: OdeTrajectory, kernel: SeparableKernel,
     lhs = SQRT2 * traj.g * A * ld
     rhs = ld * A + integral
     resid = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(ld * A)))
-    if not resid < identity_rtol:
+    if not resid < GAIN_IDENTITY_RTOL:
         raise KernelDomainMismatch(
-            f"gain identity residual {resid:.3e} exceeds {identity_rtol:.1e}; "
+            f"gain identity residual {resid:.3e} exceeds {GAIN_IDENTITY_RTOL:.1e}; "
             "kernel and trajectory disagree")
     return H

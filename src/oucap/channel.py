@@ -31,8 +31,6 @@ class Route(enum.Enum):
     CLOSED_FORM = "ClosedForm"
     ODE_LIMIT = "OdeLimit"
     DISCRETE_LIMIT = "DiscreteLimit"
-    SIMULATION = "Simulation"
-    WATER_FILL = "WaterFill"
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,10 @@ class ChannelParams:
 class CapacityResult:
     """A capacity value in nats per unit time with route and diagnostics.
 
-    residual is the defining-equation residual for root-based routes and a
-    Monte Carlo half-width for simulation estimates.
+    residual is the route's accuracy diagnostic: the defining cubic at the
+    root for the closed form, the rate spread over the last tenth of the
+    horizon for the ODE limit, and the spread of the last two Richardson
+    values for the discrete limit.
     """
 
     value: float

@@ -25,7 +25,7 @@ from .capacity import (
     feedback_capacity_closed_form,
 )
 from .channel import ChannelParams
-from .errors import FilterDivergence, NotConverged, OucapError
+from .errors import FilterDivergence, OucapError
 from .simulate import SimConfig, run_sk_scheme
 from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
 
@@ -251,9 +251,6 @@ def main(argv=None) -> int:
     except FilterDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OucapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,10 +33,6 @@ class GridMismatch(OucapError):
     """Two grid kernels do not share the same sample grid."""
 
 
-class DegenerateKernel(OucapError):
-    """A separable kernel whose denominator factor vanishes on [0, horizon]."""
-
-
 class FilterDivergence(OucapError):
     """The simulation filter produced non-finite state."""
 

@@ -18,39 +18,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import DegenerateKernel, GridMismatch
+from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
 class SeparableKernel:
     """Kernel l(s,u) = l_u(u) / l_d(s) with its large-time ratio limits.
 
-    alpha = lim l_u(t)/l_d(t), beta = lim l_d'(t)/l_d(t).  The optional
-    ratio callables evaluate l_u/l_d and l_d'/l_d in overflow-safe form
-    (the raw factors grow exponentially for this family); they default to
-    the naive quotients.
+    alpha = lim l_u(t)/l_d(t), beta = lim l_d'(t)/l_d(t).  The ratio
+    callables evaluate l_u/l_d and l_d'/l_d in overflow-safe form (the raw
+    factors grow exponentially for this family).
     """
 
     l_u: Callable
     l_d: Callable
-    l_d_prime: Callable
     alpha: float
     beta: float
-    lu_over_ld: Optional[Callable] = None
-    ld_prime_over_ld: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.lu_over_ld is None:
-            object.__setattr__(self, "lu_over_ld",
-                               lambda t: self.l_u(t) / self.l_d(t))
-        if self.ld_prime_over_ld is None:
-            object.__setattr__(self, "ld_prime_over_ld",
-                               lambda t: self.l_d_prime(t) / self.l_d(t))
+    lu_over_ld: Callable
+    ld_prime_over_ld: Callable
 
     def __call__(self, s, u):
         """Kernel value l(s, u); zero above the diagonal is the caller's
@@ -64,7 +54,6 @@ class SeparableKernel:
         return SeparableKernel(
             l_u=lambda t: c * self.l_u(t),
             l_d=lambda t: c * self.l_d(t),
-            l_d_prime=lambda t: c * self.l_d_prime(t),
             alpha=self.alpha, beta=self.beta,
             lu_over_ld=self.lu_over_ld,
             ld_prime_over_ld=self.ld_prime_over_ld)
@@ -130,6 +119,9 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
 
     The printed numerator/denominator are kept verbatim as (l_u, l_d);
     common factors are harmless since only the ratio enters downstream.
+    l_d never vanishes on [0, inf): for kappa+lam != 0, l_d(0) =
+    -4 kappa (kappa+lam) and l_d' has the same sign, so l_d only moves away
+    from zero.
     alpha and beta follow the large-time limits of l_u/l_d and l_d'/l_d.
 
     The ratio callables are algebraically normalized so they stay finite
@@ -142,9 +134,8 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     if a == 0.0:
         l_u = lambda u: kap * (kap * np.asarray(u, dtype=float) + 1.0)
         l_d = lambda s: kap * np.asarray(s, dtype=float) + 2.0
-        l_d_prime = lambda s: kap * np.ones_like(np.asarray(s, dtype=float))
         kernel = SeparableKernel(
-            l_u=l_u, l_d=l_d, l_d_prime=l_d_prime, alpha=kap, beta=0.0,
+            l_u=l_u, l_d=l_d, alpha=kap, beta=0.0,
             lu_over_ld=lambda t: kap * (kap * _real(t) + 1.0) / (kap * _real(t) + 2.0),
             ld_prime_over_ld=lambda t: kap / (kap * _real(t) + 2.0))
     else:
@@ -157,10 +148,6 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
         def l_d(s):
             s = np.asarray(s, dtype=float)
             return lam * lam * np.exp(-a * s) - b * b * np.exp(a * s)
-
-        def l_d_prime(s):
-            s = np.asarray(s, dtype=float)
-            return -a * (lam * lam * np.exp(-a * s) + b * b * np.exp(a * s))
 
         if a > 0.0:
             # divide through by b^2 e^{at}; w -> 0
@@ -185,18 +172,9 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
                 w = (b * b / (lam * lam)) * _exp(2.0 * a * _real(t))
                 return -a * (1.0 + w) / (1.0 - w)
 
-        kernel = SeparableKernel(l_u=l_u, l_d=l_d, l_d_prime=l_d_prime,
-                                 alpha=alpha, beta=beta,
+        kernel = SeparableKernel(l_u=l_u, l_d=l_d, alpha=alpha, beta=beta,
                                  lu_over_ld=lu_over_ld,
                                  ld_prime_over_ld=ld_prime_over_ld)
-
-    # l_d never vanishes on [0, inf) for this family (both exponential terms
-    # keep one sign); guarded anyway per contract.
-    probe = np.linspace(0.0, 100.0, 101)
-    ld_vals = np.asarray(kernel.l_d(probe), dtype=float)
-    if not np.all(np.isfinite(ld_vals)) or np.any(ld_vals == 0.0):
-        raise DegenerateKernel(
-            f"l_d vanishes or overflows on [0, 100] for lam={lam}, kappa={kap}")
     return kernel
 
 

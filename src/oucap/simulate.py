@@ -17,9 +17,10 @@ Randomness contract (all stochastic entry points): trial i uses
 in order, a head block of 2 standard normals (Theta0 slot, then zeta0 slot,
 scaled by (2 kappa)^{-1/2}) followed by a (2, steps) standard-normal matrix
 whose first row scales into the Brownian increments and whose second row
-supplies the extra OU randomness (``_draw_trial``).  Aggregation is in trial
-order with a fixed batch size, so results are bit-identical regardless of
-batching, thread count, or which filter kernel the build provides.
+supplies the extra OU randomness; decode_message's trials then draw their
+message index (``_draw_trial``).  Aggregation is in trial order with a fixed
+batch size, so results are bit-identical regardless of batching, thread
+count, or which filter kernel the build provides.
 
 The filter loop runs in the kernel the build provides (oucap.backends): the
 compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.
@@ -41,25 +42,30 @@ import numpy as np
 
 from . import backends
 from .abel import OdeTrajectory
+from .capacity import arma_from_step
 from .channel import ChannelParams
 from .errors import FilterDivergence, StationarityViolated
+
+
+# Trials per filter batch.  Batching only groups trials for vectorization;
+# it never changes results.
+BATCH_SIZE = 512
+# Rows of the run_sk_scheme curves, at (near-)equispaced step indices
+# including 0 and n.
+OUTPUT_POINTS = 101
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation grid and sampling plan.
 
-    horizon T and steps n fix the step delta = T/n; output_points rows of the
-    curves are recorded at (near-)equispaced step indices including 0 and n.
-    batch_size only groups trials for vectorization; it never changes results.
+    horizon T and steps n fix the step delta = T/n.
     """
 
     horizon: float
     steps: int
     trials: int
     master_seed: int
-    output_points: int = 101
-    batch_size: int = 512
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -70,10 +76,6 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
-        if self.output_points < 2:
-            raise ValueError("output_points must be at least 2")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
     @property
     def delta(self) -> float:
@@ -136,9 +138,10 @@ class SimReport:
         ]
 
 
-def _draw_trial(master_seed: int, trial: int, steps: int):
-    """Trial `trial`'s generator and its standard draws, in contract order:
-    (generator, head of 2 normals, xi of shape (2, steps)).
+def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0):
+    """Trial `trial`'s standard draws, in contract order: (head of 2 normals,
+    xi of shape (2, steps), message index), the last an integer drawn
+    uniformly from 1..messages when messages > 0 and 0 (not drawn) otherwise.
 
     The child seed is built directly; its stream is identical to
     SeedSequence(master_seed).spawn(trials)[trial] without the O(trials) spawn.
@@ -147,7 +150,8 @@ def _draw_trial(master_seed: int, trial: int, steps: int):
     g = np.random.Generator(np.random.PCG64(child))
     head = g.standard_normal(2)
     xi = g.standard_normal((2, steps))
-    return g, head, xi
+    message = int(g.integers(1, messages + 1)) if messages else 0
+    return head, xi, message
 
 
 def _step_constants(params: ChannelParams, delta: float) -> tuple[float, float, float, float]:
@@ -165,7 +169,7 @@ def simulate_noise(params: ChannelParams, cfg: SimConfig, trial: int = 0) -> Noi
     """Sample one channel-noise path (trial `trial` of cfg.trials)."""
     if not 0 <= trial < cfg.trials:
         raise ValueError("trial index out of range")
-    _, head, xi = _draw_trial(cfg.master_seed, trial, cfg.steps)
+    head, xi, _ = _draw_trial(cfg.master_seed, trial, cfg.steps)
     delta = cfg.delta
     u, _, rho, c2 = _step_constants(params, delta)
     zeta0 = head[1] / math.sqrt(2.0 * params.kappa)
@@ -199,8 +203,7 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     kappa = params.kappa
     lam = params.lam
     u, _, rho, _ = _step_constants(params, delta)
-    ratio = lam / kappa
-    theta = ratio - (ratio + 1.0) * u
+    theta = arma_from_step(params, delta).theta
     m_delta = math.sqrt(2.0 * kappa * delta / -math.expm1(-2.0 * kappa * delta))
     decay = np.exp(-kappa * np.arange(n) * delta)
     sqrt_delta = math.sqrt(delta)
@@ -209,7 +212,7 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     bt = np.empty((n, m))
     tail = np.empty(m)
     for i in range(m):
-        _, head, xi = _draw_trial(cfg.master_seed, i, n)
+        head, xi, _ = _draw_trial(cfg.master_seed, i, n)
         tail[i] = rho * m_delta * (head[1] / math.sqrt(2.0 * kappa))
         bt[:, i] = sqrt_delta * xi[0]
     # w_k = sum_{i<k} e^{-kappa (t_k - t_{i+1})} B_i via the stable
@@ -230,9 +233,8 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
 def arma_recursion_residual(z: np.ndarray, brownian: np.ndarray,
                             params: ChannelParams, delta: float) -> float:
     """Max deviation of a path from the stationary one-lag recursion."""
-    u = math.exp(-params.kappa * delta)
-    ratio = params.lam / params.kappa
-    theta = ratio - (ratio + 1.0) * u
+    arma = arma_from_step(params, delta)
+    u, theta = -arma.phi, arma.theta
     resid = z[1:] - (u * z[:-1] + brownian[1:] + theta * brownian[:-1])
     return float(np.max(np.abs(resid))) if resid.size else 0.0
 
@@ -347,21 +349,22 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
                    zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
 
 
-def _draw_batch(master_seed: int, lo: int, hi: int, n: int):
+def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int):
+    """Trials lo..hi-1 drawn by _draw_trial, stacked: (th0, zeta0, xi1, xi2,
+    message indices)."""
     m = hi - lo
     th0 = np.empty(m)
     zeta0 = np.empty(m)
     xi1 = np.empty((m, n))
     xi2 = np.empty((m, n))
-    gens = []
+    sent = np.empty(m, dtype=np.int64)
     for i in range(m):
-        g, head, xi = _draw_trial(master_seed, lo + i, n)
+        head, xi, sent[i] = _draw_trial(master_seed, lo + i, n, messages)
         th0[i] = head[0]
         zeta0[i] = head[1]
         xi1[i] = xi[0]
         xi2[i] = xi[1]
-        gens.append(g)
-    return th0, zeta0, xi1, xi2, gens
+    return th0, zeta0, xi1, xi2, sent
 
 
 def _pool_width(kern, batches: int) -> int:
@@ -373,6 +376,50 @@ def _pool_width(kern, batches: int) -> int:
     return max(1, min(os.cpu_count() or 1, batches))
 
 
+def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
+                out_idx: np.ndarray, grid: np.ndarray | None = None,
+                innov_rows: np.ndarray | None = None):
+    """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
+
+    Trial i sends its standard-normal Theta0 or, given `grid`, the grid point
+    of the message index 1..grid.size it draws after its noise block.  Each
+    batch is drawn by the thread that filters it, so each pool thread holds
+    one batch of draws.  Returns (kernel name, scheme, per-trial rows of the
+    squared error at out_idx, terminal estimates, message indices); per-trial
+    rows make results independent of batching and threads.  innov_rows, if
+    given, receives the standardized innovations.
+    """
+    kern = backends.get_backend()
+    n = cfg.steps
+    trials = cfg.trials
+    scheme = _prepare_scheme(params, cfg, traj)
+    messages = 0 if grid is None else grid.size
+    sq_rows = np.empty((trials, out_idx.size))
+    mtheta = np.empty(trials)
+    sent = np.empty(trials, dtype=np.int64)
+    edges = list(range(0, trials, BATCH_SIZE)) + [trials]
+    batches = range(len(edges) - 1)
+
+    def run_batch(b: int):
+        lo, hi = edges[b], edges[b + 1]
+        th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n, messages)
+        if grid is not None:
+            th0 = grid[sent[lo:hi] - 1]
+        zeta0 = zeta0 * scheme.zeta_scale
+        innov = None if innov_rows is None else innov_rows[lo:hi]
+        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
+                          out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
+
+    workers = _pool_width(kern, len(batches))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_batch, batches))
+    else:
+        for b in batches:
+            run_batch(b)
+    return kern.NAME, scheme, sq_rows, mtheta, sent
+
+
 def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
                   return_innovations: bool = False) -> SimReport:
     """Run the feedback scheme for cfg.trials trials and aggregate.
@@ -382,34 +429,11 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     (master_seed, cfg) whichever kernel the build provides and however many
     threads run it; SimReport.backend names the kernel that ran.
     """
-    kern = backends.get_backend()
     n = cfg.steps
-    scheme = _prepare_scheme(params, cfg, traj)
-    out_idx = np.unique(np.round(np.linspace(0, n, cfg.output_points)).astype(np.int64))
-    n_out = out_idx.size
-
-    edges = list(range(0, cfg.trials, cfg.batch_size)) + [cfg.trials]
-    n_batches = len(edges) - 1
-    # per-trial rows, so the reduction below is independent of batching
-    sq_rows = np.empty((cfg.trials, n_out))
+    out_idx = np.unique(np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64))
     innov_rows = np.empty((cfg.trials, n)) if return_innovations else None
-
-    def run_batch(b: int):
-        lo, hi = edges[b], edges[b + 1]
-        th0, zeta0, xi1, xi2, _ = _draw_batch(cfg.master_seed, lo, hi, n)
-        zeta0 = zeta0 * scheme.zeta_scale
-        mtheta = np.empty(hi - lo)
-        innov = innov_rows[lo:hi] if return_innovations else None
-        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
-                          out_idx, sq_rows[lo:hi], mtheta, innov)
-
-    workers = _pool_width(kern, n_batches)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_batch, range(n_batches)))
-    else:
-        for b in range(n_batches):
-            run_batch(b)
+    backend, scheme, sq_rows, _, _ = _run_trials(params, cfg, traj, out_idx,
+                                                 innov_rows=innov_rows)
 
     trials = cfg.trials
     mean = sq_rows.sum(axis=0) / trials
@@ -418,10 +442,10 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         var = (dev * dev).sum(axis=0) / (trials - 1)
         hw = 1.96 * np.sqrt(var / trials)
     else:
-        hw = np.full(n_out, np.inf)
+        hw = np.full(out_idx.size, np.inf)
     amp_out_sq = scheme.amp[out_idx] ** 2
     log_p = math.log(params.power)
-    report = SimReport(
+    return SimReport(
         times=scheme.times[out_idx],
         mmse_emp=mean,
         mmse_analytic=np.exp(log_p - 2.0 * scheme.log_amp[out_idx]),
@@ -431,10 +455,9 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         mmse_filter=scheme.var_theta[out_idx],
         empirical_rate=float((scheme.log_amp[n] - 0.5 * log_p) / cfg.horizon),
         master_seed=cfg.master_seed,
-        backend=kern.NAME,
+        backend=backend,
         innovations=innov_rows,
     )
-    return report
 
 
 def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
@@ -451,35 +474,19 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         raise ValueError("grid_size must be at least 1")
     if m_size == 1:
         return 0.0
-    kern = backends.get_backend()
-    n = cfg.steps
-    scheme = _prepare_scheme(params, cfg, traj)
-    out_idx = np.array([n], dtype=np.int64)
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
+    out_idx = np.array([cfg.steps], dtype=np.int64)
+    _, _, _, mtheta, sent = _run_trials(params, cfg, traj, out_idx, grid=grid)
 
-    errors = 0
-    for lo in range(0, cfg.trials, cfg.batch_size):
-        hi = min(lo + cfg.batch_size, cfg.trials)
-        _, zeta0, xi1, xi2, gens = _draw_batch(cfg.master_seed, lo, hi, n)
-        sent = np.array([g.integers(1, m_size + 1) for g in gens])
-        th0 = grid[sent - 1]
-        zeta0 = zeta0 * scheme.zeta_scale
-        sqerr = np.empty((hi - lo, 1))
-        mtheta = np.empty(hi - lo)
-        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
-                          out_idx, sqerr, mtheta, None)
-        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in mtheta.tolist()])
-        base = np.floor(cdf * m_size + 0.5).astype(np.int64)
-        w_lo = np.clip(base, 1, m_size)
-        w_hi = np.clip(base + 1, 1, m_size)
-        d_lo = np.abs(grid[w_lo - 1] - mtheta)
-        d_hi = np.abs(grid[w_hi - 1] - mtheta)
-        decoded = np.where(d_hi < d_lo, w_hi, w_lo)
-        errors += int(np.sum(decoded != sent))
-        # release this batch before the next one is drawn
-        del xi1, xi2, gens
-    return errors / cfg.trials
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in mtheta.tolist()])
+    base = np.floor(cdf * m_size + 0.5).astype(np.int64)
+    w_lo = np.clip(base, 1, m_size)
+    w_hi = np.clip(base + 1, 1, m_size)
+    d_lo = np.abs(grid[w_lo - 1] - mtheta)
+    d_hi = np.abs(grid[w_hi - 1] - mtheta)
+    decoded = np.where(d_hi < d_lo, w_hi, w_lo)
+    return int(np.sum(decoded != sent)) / cfg.trials
 
 
 def ljung_box(innovations: np.ndarray, lags: int = 20) -> np.ndarray:

@@ -29,7 +29,7 @@ def test_compiled_kernel_matches_numpy_kernel(lam):
     cfg = SimConfig(horizon=5.0, steps=500, trials=37, master_seed=31)
     traj = integrate_abel(abel_for_channel(params), horizon=5.0, step=0.005)
     scheme = _prepare_scheme(params, cfg, traj)
-    th0, zeta0, xi1, xi2, _ = _draw_batch(cfg.master_seed, 0, cfg.trials, cfg.steps)
+    th0, zeta0, xi1, xi2, _ = _draw_batch(cfg.master_seed, 0, cfg.trials, cfg.steps, 0)
     zeta0 = zeta0 * scheme.zeta_scale
     out_idx = np.array([0, 1, 250, 499, 500], dtype=np.int64)
     outputs = []

@@ -65,6 +65,18 @@ def test_capacity_ode_route_critical_coloring_fails(capsys):
     assert "error:" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_fast_channel_runs_ode_route_and_simulation(capsys):
+    # |kappa + lambda| = 9: the raw kernel factors overflow before t = 100,
+    # but the ODE route and the simulation only use the overflow-safe ratios
+    channel = ["--lambda", "-1", "--kappa", "10", "--power", "2"]
+    payload = run_json(capsys, ["capacity", *channel, "--route", "all"])
+    closed, ode = (r["value"] for r in payload["results"][:2])
+    assert ode == pytest.approx(closed, rel=0, abs=1e-8)
+    assert main(["simulate", *channel, "--horizon", "2", "--steps", "200",
+                 "--trials", "8"]) == 0
+
+
 def test_invalid_kappa_exits_two(capsys):
     code = main(["capacity", "--lambda", "0", "--kappa", "-1", "--power", "1"])
     assert code == 2

@@ -3,6 +3,7 @@ import os
 import threading
 import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -209,23 +210,35 @@ def test_run_sk_deterministic_and_backend_independent(monkeypatch):
     assert np.array_equal(a.power_emp, c.power_emp)
 
 
-def test_run_sk_batch_size_invariance(traj_std):
+def test_run_sk_batch_size_invariance(traj_std, monkeypatch):
     cfg = SimConfig(horizon=10.0, steps=300, trials=257, master_seed=37)
+    # a short horizon, so that decoding makes errors
+    dcfg = replace(cfg, horizon=2.0)
     a = run_sk_scheme(P_STD, cfg, traj_std)
-    b = run_sk_scheme(P_STD, replace(cfg, batch_size=32), traj_std)
+    err_a = decode_message(P_STD, dcfg, traj_std, grid_size=64)
+    assert 0.0 < err_a < 1.0
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 32)
+    b = run_sk_scheme(P_STD, cfg, traj_std)
     assert np.array_equal(a.mmse_emp, b.mmse_emp)
     assert np.array_equal(a.mmse_hw, b.mmse_hw)
+    assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_a
 
 
 def test_run_sk_thread_invariance(traj_std, monkeypatch):
-    cfg = SimConfig(horizon=10.0, steps=300, trials=500, master_seed=41, batch_size=64)
+    cfg = SimConfig(horizon=10.0, steps=300, trials=500, master_seed=41)
+    dcfg = replace(cfg, horizon=2.0)  # decoding makes errors
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
     # the kernel this build provides, on pools of width 1 and 4
     monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 1)
     one = run_sk_scheme(P_STD, cfg, traj_std)
+    err_one = decode_message(P_STD, dcfg, traj_std, grid_size=64)
+    assert 0.0 < err_one < 1.0
     monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 4)
     four = run_sk_scheme(P_STD, cfg, traj_std)
     assert np.array_equal(one.mmse_emp, four.mmse_emp)
+    assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
     monkeypatch.undo()
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
 
     monkeypatch.setattr(backends, "_sk_core", None)
     kern = backends.get_backend()
@@ -373,13 +386,48 @@ def test_decode_error_rate_decreases_with_horizon():
     assert errs[0] < 0.2
 
 
-def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std):
-    # a batch draws 2 * batch_size * steps normals; holding the previous
-    # batch while drawing the next doubles the peak.  The per-trial state
-    # (seed sequences, output rows) stays small against that at this shape.
-    cfg = SimConfig(horizon=10.0, steps=2000, trials=192, master_seed=73,
-                    batch_size=64, output_points=11)
-    batch_bytes = 2 * cfg.batch_size * cfg.steps * 8
+def test_decode_message_draws_each_message_after_its_noise(traj_std):
+    # the randomness contract: trial i's message index is the first integer
+    # its generator draws after the noise block
+    cfg = SimConfig(horizon=2.0, steps=300, trials=100, master_seed=79)
+    m_size = 64
+    grid = np.array([NormalDist().inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
+    scheme = simulate._prepare_scheme(P_STD, cfg, traj_std)
+    sent = np.empty(cfg.trials, dtype=np.int64)
+    zeta0 = np.empty(cfg.trials)
+    xi1 = np.empty((cfg.trials, cfg.steps))
+    xi2 = np.empty((cfg.trials, cfg.steps))
+    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.trials)
+    for i, child in enumerate(children):
+        g = np.random.Generator(np.random.PCG64(child))
+        zeta0[i] = g.standard_normal(2)[1] * scheme.zeta_scale
+        xi1[i], xi2[i] = g.standard_normal((2, cfg.steps))
+        sent[i] = g.integers(1, m_size + 1)
+    mtheta = np.empty(cfg.trials)
+    out_idx = np.array([cfg.steps], dtype=np.int64)
+    backends._sk_numpy.filter_batch(grid[sent - 1], zeta0, xi1, xi2, *scheme.coeffs,
+                                    out_idx, np.empty((cfg.trials, 1)), mtheta, None)
+    _, _, _, got_mtheta, got_sent = simulate._run_trials(P_STD, cfg, traj_std, out_idx, grid=grid)
+    assert np.array_equal(got_sent, sent)
+    assert np.array_equal(got_mtheta, mtheta)
+    # nearest grid point by brute force
+    decoded = 1 + np.argmin(np.abs(grid[None, :] - mtheta[:, None]), axis=1)
+    want = np.count_nonzero(decoded != sent) / cfg.trials
+    assert 0.0 < want < 1.0
+    assert decode_message(P_STD, cfg, traj_std, grid_size=m_size) == want
+
+
+def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
+    # a batch draws 2 * BATCH_SIZE * steps normals, and each pool thread
+    # holds its own batch; holding the previous batch while drawing the next
+    # doubles the peak.  The per-trial state (seed sequences, output rows)
+    # stays small against that at this shape.
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
+    monkeypatch.setattr(simulate, "OUTPUT_POINTS", 11)
+    cfg = SimConfig(horizon=10.0, steps=2000, trials=192, master_seed=73)
+    batch_bytes = 2 * simulate.BATCH_SIZE * cfg.steps * 8
+    batches = -(-cfg.trials // simulate.BATCH_SIZE)
+    bound = (simulate._pool_width(backends.get_backend(), batches) + 0.5) * batch_bytes
     warm = replace(cfg, trials=1)
     for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
                 lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
@@ -390,7 +438,7 @@ def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * batch_bytes
+        assert peak < bound
 
 
 def test_ljung_box_rejects_correlated_series():
