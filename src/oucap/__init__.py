@@ -6,6 +6,10 @@ discrete ARMA(1,1) channel, and Monte Carlo simulation of the feedback
 scheme itself — plus non-feedback spectral baselines for comparison.
 """
 
+# the one version source: packaging reads it (pyproject.toml), as do the
+# CLI's --version and every run manifest
+__version__ = "0.1.0"
+
 from .abel import (
     AbelCoefficients,
     OdeTrajectory,
@@ -131,11 +135,3 @@ __all__ = [
     "waterfill_bandlimited",
 ]
 
-
-def __getattr__(name):
-    # the version is looked up on first use, not on import
-    if name == "__version__":
-        from .report import version
-
-        return version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

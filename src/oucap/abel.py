@@ -84,13 +84,12 @@ def abel_for_channel(params: ChannelParams) -> AbelCoefficients:
 
 @dataclass(frozen=True)
 class OdeTrajectory:
-    """Sampled solution of the Abel ODE with amplitude and gain curves.
+    """Sampled solution of the Abel ODE with its amplitude curve.
 
     log_a stores log A(t) (A grows like e^{rate * t}, so the log is the
     primary representation); the `a` property exponentiates and may
-    overflow to inf for long horizons, by design.  gain is H(t) =
-    sqrt(2) g A, the identity route; the quadrature route lives in
-    gain_from_kernel as an independent cross-check.
+    overflow to inf for long horizons, by design.  The gain curve is
+    gain_from_kernel's.
     """
 
     times: np.ndarray
@@ -102,10 +101,6 @@ class OdeTrajectory:
     @property
     def a(self) -> np.ndarray:
         return np.exp(self.log_a)
-
-    @property
-    def gain(self) -> np.ndarray:
-        return SQRT2 * self.g * np.exp(self.log_a)
 
     @property
     def horizon(self) -> float:
@@ -323,10 +318,16 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
                          power=P)
 
 
-def _tail_gap(traj: OdeTrajectory) -> tuple[float, int]:
-    """|g(horizon) - g(0.9 horizon)| and the 0.9-horizon sample index."""
+def _settled_tail(traj: OdeTrajectory) -> int:
+    """Index of the 0.9-horizon sample, once |g(T) - g(0.9 T)| < 1e-8;
+    NotConverged otherwise."""
     i = int(np.argmin(np.abs(traj.times - 0.9 * traj.horizon)))
-    return abs(traj.r_limit - float(traj.g[i])), i
+    gap = abs(traj.r_limit - float(traj.g[i]))
+    if not gap < 1e-8:
+        raise NotConverged(
+            f"trajectory tail gap {gap:.3e} >= 1e-8 at horizon "
+            f"{traj.horizon}; integrate further")
+    return i
 
 
 def sk_rate_from_ode(traj: OdeTrajectory) -> CapacityResult:
@@ -338,11 +339,7 @@ def sk_rate_from_ode(traj: OdeTrajectory) -> CapacityResult:
     the channel capacity; otherwise it is the scheme's rate, a strict
     lower bound of P/2.
     """
-    gap, i = _tail_gap(traj)
-    if not gap < 1e-8:
-        raise NotConverged(
-            f"trajectory tail gap {gap:.3e} >= 1e-8 at horizon "
-            f"{traj.horizon}; integrate further")
+    i = _settled_tail(traj)
     P = traj.power
     value = P * traj.r_limit ** 2
     residual = abs(value - P * float(traj.g[i]) ** 2)
@@ -357,10 +354,7 @@ def classify_root_convergence(coeffs: AbelCoefficients,
     Raises NotConverged under the same window test as sk_rate_from_ode.
     """
     traj = integrate_abel(coeffs, horizon, horizon / 1000.0)
-    gap, _ = _tail_gap(traj)
-    if not gap < 1e-8:
-        raise NotConverged(
-            f"trajectory tail gap {gap:.3e} >= 1e-8 at horizon {horizon}")
+    _settled_tail(traj)
     case, roots = limiting_cubic_roots(coeffs)
     idx = int(np.argmin([abs(r - traj.r_limit) for r in roots]))
     return RootConvergence(case=case, roots=roots, root_index=idx)

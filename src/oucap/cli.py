@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import report
+from . import __version__, report
 from .abel import abel_for_channel, integrate_abel, sk_rate_from_ode
 from .capacity import (
     DEFAULT_SWEEP_DELTAS,
@@ -36,6 +36,9 @@ FLAT_N_DEFAULT = (16.0, 64.0, 256.0, 1024.0)
 FLAT_K_DEFAULT = (32.0, 128.0, 512.0, 4096.0)
 
 SUFFIXES = {"text": ".txt", "csv": ".csv", "json": ".json"}
+# parsed attributes that are not run parameters: the subcommand, the output
+# options, the seed (the manifest's master_seed) and the dispatch function
+NOT_PARAMETERS = frozenset({"command", "format", "out", "seed", "run"})
 
 
 def _channel_args(sub: argparse.ArgumentParser) -> None:
@@ -53,17 +56,6 @@ def _output_args(sub: argparse.ArgumentParser) -> None:
                      help="base path for output files (data + .manifest.json)")
 
 
-class _VersionAction(argparse.Action):
-    """--version, with the version looked up only when it is asked for."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0,
-                         help="show the program's version number and exit")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.exit(message=report.version() + "\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oucap",
@@ -72,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and non-feedback spectra.  Simulation runs the compiled kernel when "
         "the build made it, and the numpy kernel otherwise.",
     )
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     cap = subs.add_parser("capacity", help="feedback capacity by one or all routes")
@@ -82,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--horizon", type=float, default=ODE_HORIZON_DEFAULT,
                      help=f"ODE-route horizon (default {ODE_HORIZON_DEFAULT:g})")
     _output_args(cap)
+    cap.set_defaults(run=cmd_capacity)
 
     sim = subs.add_parser("simulate", help="Monte Carlo of the feedback scheme")
     _channel_args(sim)
@@ -93,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo trials (default 1000)")
     sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     _output_args(sim)
+    sim.set_defaults(run=cmd_simulate)
 
     spec = subs.add_parser("spectrum", help="non-feedback rate sweeps")
     _channel_args(spec)
@@ -100,11 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--band", type=float, default=1000.0,
                       help="water-filling half-bandwidth W (default 1000)")
     _output_args(spec)
+    spec.set_defaults(run=cmd_spectrum)
     return parser
 
 
-def _emit(args, payloads: dict, manifest_args: tuple, summary: str | None = None,
-          files: tuple | None = None) -> None:
+def _manifest(args) -> dict:
+    """The run manifest: every parsed option of the subcommand except the
+    output options, the seed and the dispatch, with lam spelled lambda."""
+    parameters = {("lambda" if name == "lam" else name): value
+                  for name, value in vars(args).items() if name not in NOT_PARAMETERS}
+    return report.build_manifest(args.command, parameters, getattr(args, "seed", None))
+
+
+def _emit(args, payloads: dict, summary: str | None, files: tuple | None) -> None:
     """Print the summary, then payloads[args.format] or, with --out, the files.
 
     payloads maps each format to its text.  By default --out receives the
@@ -129,14 +131,15 @@ def _emit(args, payloads: dict, manifest_args: tuple, summary: str | None = None
     for path, fmt in targets:
         path.write_text(payloads[fmt], encoding="utf-8")
     manifest_path = Path(str(stem) + ".manifest.json")
-    manifest = report.build_manifest(*manifest_args)
-    manifest_path.write_text(report.dump_json(manifest), encoding="utf-8")
+    manifest_path.write_text(report.dump_json(_manifest(args)), encoding="utf-8")
     written = [str(path) for path, _ in targets]
     print(f"wrote {', '.join(written)} and {manifest_path}")
 
 
-def cmd_capacity(args) -> int:
-    params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
+# Each cmd_* computes one subcommand for the channel main built and returns
+# (payloads, summary line or None, formats written side by side or None).
+
+def cmd_capacity(args, params: ChannelParams):
     results = []
     if args.route in ("closed", "all"):
         results.append(feedback_capacity_closed_form(params))
@@ -150,28 +153,15 @@ def cmd_capacity(args) -> int:
     if len(results) > 1:
         values = [r.value for r in results]
         max_disc = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
-    manifest_args = (
-        "capacity",
-        {
-            "lambda": args.lam,
-            "kappa": args.kappa,
-            "power": args.power,
-            "route": args.route,
-            "horizon": args.horizon,
-        },
-        None,
-    )
     payloads = {
         "text": report.capacity_text(params, results, max_disc),
         "csv": report.capacity_csv(results),
         "json": report.dump_json(report.capacity_payload(params, results, max_disc)),
     }
-    _emit(args, payloads, manifest_args)
-    return 0
+    return payloads, None, None
 
 
-def cmd_simulate(args) -> int:
-    params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
+def cmd_simulate(args, params: ChannelParams):
     if params.power <= 0:
         raise ValueError("power must be positive for the simulation")
     cfg = SimConfig(horizon=args.horizon, steps=args.steps, trials=args.trials,
@@ -179,30 +169,16 @@ def cmd_simulate(args) -> int:
     coeffs = abel_for_channel(params)
     traj = integrate_abel(coeffs, horizon=cfg.horizon, step=cfg.horizon / max(cfg.steps, 200))
     rep = run_sk_scheme(params, cfg, traj)
-    manifest_args = (
-        "simulate",
-        {
-            "lambda": args.lam,
-            "kappa": args.kappa,
-            "power": args.power,
-            "horizon": args.horizon,
-            "steps": args.steps,
-            "trials": args.trials,
-        },
-        args.seed,
-    )
     summary = f"max MMSE z-score {report.max_mmse_z(rep):.3f} (empirical vs analytic)"
     payloads = {
-        "text": report.simulate_text(params, cfg, rep),
+        "text": report.simulate_text(cfg, rep),
         "csv": report.simulate_csv(rep),
         "json": report.dump_json(report.simulate_payload(params, cfg, rep)),
     }
-    _emit(args, payloads, manifest_args, summary, files=("csv", "json"))
-    return 0
+    return payloads, summary, ("csv", "json")
 
 
-def cmd_spectrum(args) -> int:
-    params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
+def cmd_spectrum(args, params: ChannelParams):
     if args.sweep == "flat":
         rows = flat_input_limit_sweep(params, FLAT_N_DEFAULT, FLAT_K_DEFAULT)
         header = ["n", "k", "rate", "analytic_limit"]
@@ -216,35 +192,19 @@ def cmd_spectrum(args) -> int:
             flat_noise = (w / (2.0 * np.pi)) * np.log1p(np.pi * params.power / w)
             rows.append((float(w), level, rate, float(flat_noise)))
         header = ["band", "level", "rate", "analytic_limit"]
-    manifest_args = (
-        "spectrum",
-        {
-            "lambda": args.lam,
-            "kappa": args.kappa,
-            "power": args.power,
-            "sweep": args.sweep,
-            "band": args.band,
-        },
-        None,
-    )
     payloads = {
         "text": report.spectrum_text(args.sweep, header, rows),
         "csv": report.spectrum_csv(header, rows),
         "json": report.dump_json(report.spectrum_payload(params, args.sweep, header, rows)),
     }
-    _emit(args, payloads, manifest_args)
-    return 0
+    return payloads, None, None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "capacity":
-            return cmd_capacity(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_spectrum(args)
+        params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
+        _emit(args, *args.run(args, params))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -254,6 +214,7 @@ def main(argv=None) -> int:
     except OucapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -149,28 +149,22 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
             s = np.asarray(s, dtype=float)
             return lam * lam * np.exp(-a * s) - b * b * np.exp(a * s)
 
-        if a > 0.0:
-            # divide through by b^2 e^{at}; w -> 0
-            alpha, beta = -lam, a
+        # The mirror lam -> -2 kappa - lam sends (lam, b) to (-b, -lam) and
+        # flips the signs of l_u, l_d and kappa + lam, leaving the kernel as
+        # it is; so kappa + lam < 0 takes the kappa + lam > 0 form at
+        # (m, n) = (-b, -lam).  That form divides through by n^2 e^{ct}, c =
+        # |kappa + lam|, and its w -> 0.
+        c = abs(a)
+        m, n = (lam, b) if a > 0.0 else (-b, -lam)
+        alpha, beta = -m, c
 
-            def lu_over_ld(t):
-                e = _exp(-2.0 * a * _real(t))
-                return (lam + (lam * lam / b) * e) / ((lam * lam / (b * b)) * e - 1.0)
+        def lu_over_ld(t):
+            e = _exp(-2.0 * c * _real(t))
+            return (m + (m * m / n) * e) / ((m * m / (n * n)) * e - 1.0)
 
-            def ld_prime_over_ld(t):
-                w = (lam * lam / (b * b)) * _exp(-2.0 * a * _real(t))
-                return -a * (w + 1.0) / (w - 1.0)
-        else:
-            # divide through by lam^2 e^{-at}; w -> 0
-            alpha, beta = b, -a
-
-            def lu_over_ld(t):
-                e = _exp(2.0 * a * _real(t))
-                return (b + (b * b / lam) * e) / (1.0 - (b * b / (lam * lam)) * e)
-
-            def ld_prime_over_ld(t):
-                w = (b * b / (lam * lam)) * _exp(2.0 * a * _real(t))
-                return -a * (1.0 + w) / (1.0 - w)
+        def ld_prime_over_ld(t):
+            w = (m * m / (n * n)) * _exp(-2.0 * c * _real(t))
+            return -c * (w + 1.0) / (w - 1.0)
 
         kernel = SeparableKernel(l_u=l_u, l_d=l_d, alpha=alpha, beta=beta,
                                  lu_over_ld=lu_over_ld,

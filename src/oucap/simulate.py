@@ -26,8 +26,8 @@ The filter loop runs in the kernel the build provides (oucap.backends): the
 compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
-written in numpy, and decode_message takes its message grid and the normal
-CDF from the standard library, so simulation needs no scipy.
+written in numpy, and decode_message takes its message grid from the
+standard library's normal quantile, so simulation needs no scipy.
 """
 
 from __future__ import annotations
@@ -479,13 +479,10 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     out_idx = np.array([cfg.steps], dtype=np.int64)
     _, _, _, mtheta, sent = _run_trials(params, cfg, traj, out_idx, grid=grid)
 
-    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in mtheta.tolist()])
-    base = np.floor(cdf * m_size + 0.5).astype(np.int64)
-    w_lo = np.clip(base, 1, m_size)
-    w_hi = np.clip(base + 1, 1, m_size)
-    d_lo = np.abs(grid[w_lo - 1] - mtheta)
-    d_hi = np.abs(grid[w_hi - 1] - mtheta)
-    decoded = np.where(d_hi < d_lo, w_hi, w_lo)
+    # grid[hi - 1] and grid[hi] bracket the estimate (the end pair outside
+    # the grid); the nearer one wins and a tie goes to the lower message
+    hi = np.clip(np.searchsorted(grid, mtheta, side="right"), 1, m_size - 1)
+    decoded = np.where(np.abs(grid[hi] - mtheta) < np.abs(grid[hi - 1] - mtheta), hi + 1, hi)
     return int(np.sum(decoded != sent)) / cfg.trials
 
 

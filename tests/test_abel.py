@@ -274,6 +274,27 @@ def test_mirror_symmetry_of_channel_coefficients():
         assert np.allclose(a.q(t), b.q(t), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("lam,kappa", [
+    (-0.5, 1.0),   # colored gain
+    (0.8, 1.0),    # white equivalent, lam > 0
+    (-3.0, 1.0),   # white equivalent, lam < -2 kappa
+    (0.0, 1.0),    # boundary lam = 0
+    (-2.0, 1.0),   # boundary lam = -2 kappa
+    (-1.0, 1.0),   # critical coloring, kappa + lam = 0
+    (-1.0, 10.0),  # |kappa + lam| = 9: the raw kernel factors overflow
+])
+def test_channel_q_is_kappa_and_p_limit_is_minus_rate_gap(lam, kappa):
+    # q = (l_u + l_d')/l_d equals kappa at every t for this family, so the
+    # limiting cubic -P y^3 + (P/sqrt 2) y^2 - |kappa+lam| y + kappa/sqrt 2
+    # is the closed form's P(x+kappa)^2 = 2x(x+|kappa+lam|)^2 at x = P y^2
+    coeffs = abel_for_channel(ChannelParams(lam, kappa, 2.0))
+    t = np.linspace(0.0, 60.0, 601)
+    assert np.max(np.abs(np.asarray(coeffs.q(t)) - kappa)) <= 1e-13 * kappa
+    assert max(abs(coeffs.q(float(s)) - kappa) for s in t) <= 1e-13 * kappa
+    assert abs(coeffs.q_limit - kappa) <= 1e-13 * kappa
+    assert coeffs.p_limit == -abs(kappa + lam)
+
+
 def test_kernel_factorization_scale_invariance_of_coefficients():
     params = ChannelParams(-0.5, 1.0, 2.0)
     kernel = ou_resolvent_kernel(params)

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import oucap
 from oucap.cli import main
 
 
@@ -96,10 +97,11 @@ def test_missing_subcommand_exits_two():
     assert exc.value.code == 2
 
 
-def test_version_flag():
+def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr().out == oucap.__version__ + "\n"
 
 
 def test_capacity_csv_format(capsys):
@@ -122,6 +124,11 @@ def test_simulate_stdout_summary(capsys):
     out = capsys.readouterr().out
     assert "max MMSE z-score" in out
     assert "empirical rate" in out
+
+
+def test_simulate_text_prints_mmse_z_score_once(capsys):
+    assert main(SIM_ARGS + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.count("max MMSE z-score") == 1
 
 
 def test_simulate_json_payload(capsys):
@@ -227,3 +234,29 @@ def test_spectrum_out_csv(tmp_path, capsys):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     check("manifest", manifest)
     assert manifest["subcommand"] == "spectrum"
+
+
+CHANNEL = {"lambda": -0.5, "kappa": 1.0, "power": 2.0}
+
+
+@pytest.mark.parametrize("argv,parameters,master_seed", [
+    (["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2"],
+     {**CHANNEL, "route": "closed", "horizon": 50.0}, None),
+    (["simulate", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--horizon", "2",
+      "--steps", "200", "--trials", "8", "--seed", "5"],
+     {**CHANNEL, "horizon": 2.0, "steps": 200, "trials": 8}, 5),
+    (["spectrum", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--sweep", "waterfill",
+      "--band", "100"],
+     {**CHANNEL, "sweep": "waterfill", "band": 100.0}, None),
+], ids=("capacity", "simulate", "spectrum"))
+def test_out_manifest_records_the_parsed_options(tmp_path, capsys, argv, parameters,
+                                                   master_seed):
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    [path] = tmp_path.glob("*.manifest.json")
+    manifest = json.loads(path.read_text())
+    check("manifest", manifest)
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["parameters"] == parameters
+    assert manifest["master_seed"] == master_seed
+    assert manifest["version"] == oucap.__version__
