@@ -60,14 +60,12 @@ from .kernels import (
     sample_kernel,
 )
 from .simulate import (
-    NoisePath,
     SimConfig,
     SimReport,
     arma_recursion_residual,
     decode_message,
     ljung_box,
     run_sk_scheme,
-    simulate_noise,
     stationary_arma_noise,
 )
 from .spectrum import (
@@ -91,7 +89,6 @@ __all__ = [
     "InputSpectrum",
     "InvalidArma",
     "KernelDomainMismatch",
-    "NoisePath",
     "NotConverged",
     "OdeTrajectory",
     "OucapError",
@@ -128,7 +125,6 @@ __all__ = [
     "resolvent_residual",
     "run_sk_scheme",
     "sample_kernel",
-    "simulate_noise",
     "sk_rate_from_ode",
     "solve_arma_quartic",
     "stationary_arma_noise",

@@ -3,7 +3,9 @@
 The compiled extension oucap._sk_core, built from Cython, runs when it
 imports; otherwise its pure-numpy twin oucap._sk_numpy does.  Both implement
 the same ``filter_batch`` contract with identical arithmetic order, so the
-build never changes results, only speed.
+build never changes results, only speed.  Both carry the filter's error state
+(Theta0 - m0, Z0 - m1, zeta0 - m2), and both consume the noise buffers
+xi1/xi2 they are given: the caller must not read them afterwards.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ FLAT_N_DEFAULT = (16.0, 64.0, 256.0, 1024.0)
 FLAT_K_DEFAULT = (32.0, 128.0, 512.0, 4096.0)
 
 SUFFIXES = {"text": ".txt", "csv": ".csv", "json": ".json"}
+# subcommands whose --out writes these formats side by side, whatever --format
+SIDE_BY_SIDE = {"simulate": ("csv", "json")}
 # parsed attributes that are not run parameters: the subcommand, the output
 # options, the seed (the manifest's master_seed) and the dispatch function
 NOT_PARAMETERS = frozenset({"command", "format", "out", "seed", "run"})
@@ -106,13 +108,25 @@ def _manifest(args) -> dict:
     return report.build_manifest(args.command, parameters, getattr(args, "seed", None))
 
 
-def _emit(args, payloads: dict, summary: str | None, files: tuple | None) -> None:
+def _out_suffix_error(args) -> str | None:
+    """Why --out cannot hold the chosen format, or None: a suffix given to
+    --out must be the format's own, except where SIDE_BY_SIDE names the files."""
+    if args.out is None or args.command in SIDE_BY_SIDE:
+        return None
+    suffix, want = args.out.suffix, SUFFIXES[args.format]
+    if suffix in ("", want):
+        return None
+    return (f"--out {args.out} has suffix {suffix}, but --format {args.format} "
+            f"writes {want}; give {want} or no suffix")
+
+
+def _emit(args, payloads: dict, summary: str | None) -> None:
     """Print the summary, then payloads[args.format] or, with --out, the files.
 
     payloads maps each format to its text.  By default --out receives the
     chosen format (its suffix added when --out has none) and the manifest is
-    `<that file>.manifest.json`.  `files` instead names the formats written
-    side by side as `<out stem><suffix>`, with the manifest at
+    `<that file>.manifest.json`.  A subcommand in SIDE_BY_SIDE instead writes
+    its formats side by side as `<out stem><suffix>`, with the manifest at
     `<out stem>.manifest.json`.
     """
     if summary:
@@ -121,10 +135,11 @@ def _emit(args, payloads: dict, summary: str | None, files: tuple | None) -> Non
         sys.stdout.write(payloads[args.format])
         return
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    files = SIDE_BY_SIDE.get(args.command)
     if files is None:
-        fmt = args.format
-        stem = args.out if args.out.suffix else args.out.with_suffix(SUFFIXES[fmt])
-        targets = [(stem, fmt)]
+        # main refused any other suffix, so this only adds a missing one
+        stem = args.out.with_suffix(SUFFIXES[args.format])
+        targets = [(stem, args.format)]
     else:
         stem = args.out.with_suffix("")
         targets = [(stem.with_suffix(SUFFIXES[fmt]), fmt) for fmt in files]
@@ -137,7 +152,7 @@ def _emit(args, payloads: dict, summary: str | None, files: tuple | None) -> Non
 
 
 # Each cmd_* computes one subcommand for the channel main built and returns
-# (payloads, summary line or None, formats written side by side or None).
+# (payloads, summary line or None).
 
 def cmd_capacity(args, params: ChannelParams):
     results = []
@@ -158,7 +173,7 @@ def cmd_capacity(args, params: ChannelParams):
         "csv": report.capacity_csv(results),
         "json": report.dump_json(report.capacity_payload(params, results, max_disc)),
     }
-    return payloads, None, None
+    return payloads, None
 
 
 def cmd_simulate(args, params: ChannelParams):
@@ -175,7 +190,7 @@ def cmd_simulate(args, params: ChannelParams):
         "csv": report.simulate_csv(rep),
         "json": report.dump_json(report.simulate_payload(params, cfg, rep)),
     }
-    return payloads, summary, ("csv", "json")
+    return payloads, summary
 
 
 def cmd_spectrum(args, params: ChannelParams):
@@ -197,11 +212,15 @@ def cmd_spectrum(args, params: ChannelParams):
         "csv": report.spectrum_csv(header, rows),
         "json": report.dump_json(report.spectrum_payload(params, args.sweep, header, rows)),
     }
-    return payloads, None, None
+    return payloads, None
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    problem = _out_suffix_error(args)
+    if problem:
+        parser.error(problem)
     try:
         params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
         _emit(args, *args.run(args, params))

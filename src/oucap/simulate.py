@@ -23,7 +23,10 @@ batch size, so results are bit-identical regardless of batching, thread
 count, or which filter kernel the build provides.
 
 The filter loop runs in the kernel the build provides (oucap.backends): the
-compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.
+compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.  It
+carries the estimation error rather than the estimate, so the squared error
+keeps its relative precision however small the MMSE gets, and it consumes
+each batch's noise draws.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -80,21 +83,6 @@ class SimConfig:
     @property
     def delta(self) -> float:
         return self.horizon / self.steps
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One sampled path of the channel noise, with its building blocks.
-
-    brownian_increments[k] = dB_k ~ N(0, delta); ou_state[k] = Z0(t_k) for
-    k = 0..n (exact OU recursion); tail = zeta0 ~ N(0, 1/(2 kappa));
-    z_increments[k] = lam (Z0(t_k) + zeta0 e^{-kappa t_k}) delta + dB_k.
-    """
-
-    brownian_increments: np.ndarray
-    ou_state: np.ndarray
-    tail: float
-    z_increments: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,28 +151,6 @@ def _step_constants(params: ChannelParams, delta: float) -> tuple[float, float, 
     rho = -math.expm1(-kappa * delta) / kappa
     c2 = math.sqrt(max(sig2 - rho * rho / delta, 0.0))
     return u, sig2, rho, c2
-
-
-def simulate_noise(params: ChannelParams, cfg: SimConfig, trial: int = 0) -> NoisePath:
-    """Sample one channel-noise path (trial `trial` of cfg.trials)."""
-    if not 0 <= trial < cfg.trials:
-        raise ValueError("trial index out of range")
-    head, xi, _ = _draw_trial(cfg.master_seed, trial, cfg.steps)
-    delta = cfg.delta
-    u, _, rho, c2 = _step_constants(params, delta)
-    zeta0 = head[1] / math.sqrt(2.0 * params.kappa)
-    db = math.sqrt(delta) * xi[0]
-    eta = (rho / math.sqrt(delta)) * xi[0] + c2 * xi[1]
-    # exact OU recursion Z0(t_{k+1}) = u Z0(t_k) + eta_k from Z0(0) = 0
-    ou = np.empty(cfg.steps + 1)
-    ou_k = 0.0
-    ou[0] = ou_k
-    for k, e in enumerate(eta.tolist(), start=1):
-        ou_k = e + u * ou_k
-        ou[k] = ou_k
-    tk = np.arange(cfg.steps) * delta
-    z_inc = params.lam * (ou[:-1] + zeta0 * np.exp(-params.kappa * tk)) * delta + db
-    return NoisePath(brownian_increments=db, ou_state=ou, tail=float(zeta0), z_increments=z_inc)
 
 
 def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:

@@ -9,6 +9,7 @@ explicit closed forms, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import dblquad, quad, solve_ivp
@@ -208,6 +209,85 @@ def _noise_draws(master_seed: int, trial: int, steps: int):
         np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(trial,))))
     head = gen.standard_normal(2)
     return head, gen.standard_normal((2, steps))
+
+
+@dataclass(frozen=True)
+class NoisePath:
+    """One sampled path of the channel noise, with its building blocks.
+
+    brownian_increments[k] = dB_k ~ N(0, delta); ou_state[k] = Z0(t_k) for
+    k = 0..n (exact OU recursion); tail = zeta0 ~ N(0, 1/(2 kappa));
+    z_increments[k] = lam (Z0(t_k) + zeta0 e^{-kappa t_k}) delta + dB_k.
+    """
+
+    brownian_increments: np.ndarray
+    ou_state: np.ndarray
+    tail: float
+    z_increments: np.ndarray
+
+
+def simulate_noise(params, cfg, trial: int = 0) -> NoisePath:
+    """Sample one channel-noise path (trial `trial` of cfg.trials) from the
+    trial's contract draws, running the exact OU recursion as a plain loop."""
+    if not 0 <= trial < cfg.trials:
+        raise ValueError("trial index out of range")
+    head, xi = _noise_draws(cfg.master_seed, trial, cfg.steps)
+    delta = cfg.delta
+    kappa = params.kappa
+    u = math.exp(-kappa * delta)
+    sig2 = -math.expm1(-2.0 * kappa * delta) / (2.0 * kappa)
+    rho = -math.expm1(-kappa * delta) / kappa
+    c2 = math.sqrt(max(sig2 - rho * rho / delta, 0.0))
+    zeta0 = head[1] / math.sqrt(2.0 * kappa)
+    db = math.sqrt(delta) * xi[0]
+    eta = (rho / math.sqrt(delta)) * xi[0] + c2 * xi[1]
+    # exact OU recursion Z0(t_{k+1}) = u Z0(t_k) + eta_k from Z0(0) = 0
+    ou = np.empty(cfg.steps + 1)
+    ou_k = 0.0
+    ou[0] = ou_k
+    for k, e in enumerate(eta.tolist(), start=1):
+        ou_k = e + u * ou_k
+        ou[k] = ou_k
+    tk = np.arange(cfg.steps) * delta
+    z_inc = params.lam * (ou[:-1] + zeta0 * np.exp(-kappa * tk)) * delta + db
+    return NoisePath(brownian_increments=db, ou_state=ou, tail=float(zeta0), z_increments=z_inc)
+
+
+def scalar_filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
+                        u, sqrt_delta, lam_delta, c1, c2,
+                        out_idx, sqerr_out, mtheta_out, innov_out):
+    """The loop of oucap/_sk_core.pyx in plain Python floats, one trial at a
+    time and one operation per operation there, so that it runs without
+    Cython and pins the arithmetic order the compiled kernel follows.
+    Same contract as filter_batch, except that xi1 and xi2 are only read."""
+    m, n = xi1.shape
+    hA, hzeta, K0, K1, K2, inv_sqrt_s = (
+        a.tolist() for a in (hA, hzeta, K0, K1, K2, inv_sqrt_s))
+    out_idx = out_idx.tolist()
+    n_out = len(out_idx)
+    store = innov_out is not None
+    for i in range(m):
+        e0 = float(th0[i])
+        e1 = 0.0
+        e2 = float(zeta0[i])
+        row1 = xi1[i].tolist()
+        row2 = xi2[i].tolist()
+        out_pos = 0
+        for k in range(n):
+            if out_pos < n_out and out_idx[out_pos] == k:
+                sqerr_out[i, out_pos] = e0 * e0
+                out_pos += 1
+            x1 = sqrt_delta * row1[k]
+            x2 = c1 * row1[k] + c2 * row2[k]
+            nu = ((hA[k] * e0 + lam_delta * e1) + hzeta[k] * e2) + x1
+            if store:
+                innov_out[i, k] = nu * inv_sqrt_s[k]
+            e0 = e0 - K0[k] * nu
+            e1 = (u * e1 + x2) - K1[k] * nu
+            e2 = e2 - K2[k] * nu
+        if out_pos < n_out and out_idx[out_pos] == n:
+            sqerr_out[i, out_pos] = e0 * e0
+        mtheta_out[i] = float(th0[i]) - e0
 
 
 def lfilter_ou_state(params, cfg, trial: int) -> np.ndarray:

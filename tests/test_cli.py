@@ -236,6 +236,28 @@ def test_spectrum_out_csv(tmp_path, capsys):
     assert manifest["subcommand"] == "spectrum"
 
 
+@pytest.mark.parametrize("argv,fmt,out", [
+    (["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1"], "json", "res.csv"),
+    (["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2"], "csv", "res.json"),
+    (["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2"], "text", "res.csv"),
+], ids=("spectrum-json-as-csv", "capacity-csv-as-json", "capacity-text-as-csv"))
+def test_out_suffix_must_match_format(tmp_path, capsys, argv, fmt, out):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", fmt, "--out", str(tmp_path / "o2" / out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "suffix" in err
+    assert not (tmp_path / "o2").exists()
+
+
+def test_simulate_out_writes_csv_and_json_whatever_the_suffix(tmp_path, capsys):
+    assert main(SIM_ARGS + ["--format", "text", "--out", str(tmp_path / "run.txt")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.csv", "run.json", "run.manifest.json"]
+
+
 CHANNEL = {"lambda": -0.5, "kappa": 1.0, "power": 2.0}
 
 

@@ -23,7 +23,6 @@ from oucap import (
     integrate_abel,
     ljung_box,
     run_sk_scheme,
-    simulate_noise,
     stationary_arma_noise,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     joseph_filter_coefficients,
     lfilter_ou_state,
     lfilter_stationary_arma_noise,
+    simulate_noise,
     variance_of_z,
 )
 
@@ -308,6 +308,19 @@ def test_white_channel_mmse_matches_exponential_law(traj_std):
     allow = 3.0 * sig + 10.0 * cfg.delta * rep.mmse_analytic
     assert np.all(np.abs(rep.mmse_emp - rep.mmse_analytic) <= allow)
     assert rep.empirical_rate == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mmse_keeps_its_digits_at_horizon_40():
+    # criterion 5's bound far past the horizon where th0 - m0 would be all
+    # rounding: the analytic MMSE at T = 40 is about 3.6e-54, while a filter
+    # that carries the estimate m0 stalls near (eps * |th0|)^2 ~ 1e-32
+    params = ChannelParams(-0.5, 1.0, 2.0)
+    cfg = SimConfig(horizon=40.0, steps=4000, trials=1000, master_seed=0)
+    rep = run_sk_scheme(params, cfg, make_traj(params, cfg.horizon))
+    assert rep.mmse_analytic[-1] < 1e-50
+    sig = rep.mmse_hw / 1.96
+    allow = 3.0 * sig + 10.0 * cfg.delta * rep.mmse_analytic
+    assert np.all(np.abs(rep.mmse_emp - rep.mmse_analytic) <= allow)
 
 
 def test_filter_variance_tracks_analytic_with_first_order_bias():
