@@ -17,7 +17,6 @@ from .abel import (
     abel_for_channel,
     abel_from_kernel,
     classify_root_convergence,
-    gain_from_kernel,
     integrate_abel,
     limiting_cubic_roots,
     sk_rate_from_ode,
@@ -44,7 +43,6 @@ from .errors import (
     FilterDivergence,
     GridMismatch,
     InvalidArma,
-    KernelDomainMismatch,
     NotConverged,
     OucapError,
     RootNotBracketed,
@@ -88,7 +86,6 @@ __all__ = [
     "GridMismatch",
     "InputSpectrum",
     "InvalidArma",
-    "KernelDomainMismatch",
     "NotConverged",
     "OdeTrajectory",
     "OucapError",
@@ -113,7 +110,6 @@ __all__ = [
     "discrete_limit_sweep",
     "feedback_capacity_closed_form",
     "flat_input_limit_sweep",
-    "gain_from_kernel",
     "integrate_abel",
     "limiting_cubic_roots",
     "ljung_box",

@@ -1,5 +1,5 @@
 """The scalar Riccati-Abel ODE driving the feedback scheme, its limit
-analysis, and the gain curve.
+analysis, and the amplitude curve log A(t).
 
 The coded input is X(t) = A(t)(Theta - E[Theta | observations]) with
 
@@ -25,13 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import CapacityResult, ChannelParams, Route
-from .errors import KernelDomainMismatch, NotConverged, StepSizeUnderflow
+from .errors import NotConverged, StepSizeUnderflow
 from .kernels import SeparableKernel, ou_resolvent_kernel
 
 SQRT2 = math.sqrt(2.0)
-# relative residual of the gain identity above which gain_from_kernel rejects
-# the kernel as not matching the trajectory
-GAIN_IDENTITY_RTOL = 1e-3
 
 ONE_REAL = "OneReal"
 THREE_DISTINCT = "ThreeDistinct"
@@ -88,8 +85,7 @@ class OdeTrajectory:
 
     log_a stores log A(t) (A grows like e^{rate * t}, so the log is the
     primary representation); the `a` property exponentiates and may
-    overflow to inf for long horizons, by design.  The gain curve is
-    gain_from_kernel's.
+    overflow to inf for long horizons, by design.
     """
 
     times: np.ndarray
@@ -359,33 +355,3 @@ def classify_root_convergence(coeffs: AbelCoefficients,
     idx = int(np.argmin([abs(r - traj.r_limit) for r in roots]))
     return RootConvergence(case=case, roots=roots, root_index=idx)
 
-
-def gain_from_kernel(traj: OdeTrajectory, kernel: SeparableKernel) -> np.ndarray:
-    """Gain curve H(t_i) = A(t_i) + (1/l_d(t_i)) int_0^{t_i} l_u A ds by
-    trapezoid accumulation on the trajectory grid.
-
-    Also asserts the defining identity sqrt(2) g A l_d = l_d A + int l_u A
-    on the grid; a relative residual above GAIN_IDENTITY_RTOL means the
-    kernel does not match the trajectory's coefficients (or the grid is far
-    too coarse) and raises KernelDomainMismatch.  The guard is loose;
-    precision studies belong to the caller, who controls the grid.
-    """
-    t = traj.times
-    ld = np.asarray(kernel.l_d(t), dtype=float)
-    lu = np.asarray(kernel.l_u(t), dtype=float)
-    if not (np.all(np.isfinite(ld)) and np.all(np.isfinite(lu))):
-        raise KernelDomainMismatch("kernel factors not finite on [0, horizon]")
-    if np.any(ld == 0.0):
-        raise KernelDomainMismatch("l_d vanishes on the trajectory grid")
-    A = traj.a
-    y = lu * A
-    integral = np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
-    H = A + integral / ld
-    lhs = SQRT2 * traj.g * A * ld
-    rhs = ld * A + integral
-    resid = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(ld * A)))
-    if not resid < GAIN_IDENTITY_RTOL:
-        raise KernelDomainMismatch(
-            f"gain identity residual {resid:.3e} exceeds {GAIN_IDENTITY_RTOL:.1e}; "
-            "kernel and trajectory disagree")
-    return H

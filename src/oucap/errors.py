@@ -25,10 +25,6 @@ class StepSizeUnderflow(OucapError):
     """The adaptive ODE integrator failed to take a step."""
 
 
-class KernelDomainMismatch(OucapError):
-    """A kernel is not usable on the requested grid (wrong domain, zero l_d)."""
-
-
 class GridMismatch(OucapError):
     """Two grid kernels do not share the same sample grid."""
 

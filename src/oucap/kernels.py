@@ -47,18 +47,6 @@ class SeparableKernel:
         concern (sampling helpers enforce it)."""
         return self.l_u(u) / self.l_d(s)
 
-    def scaled(self, c: float) -> "SeparableKernel":
-        """Same kernel under the factorization (c*l_u, c*l_d)."""
-        if c == 0:
-            raise ValueError("scaling constant must be nonzero")
-        return SeparableKernel(
-            l_u=lambda t: c * self.l_u(t),
-            l_d=lambda t: c * self.l_d(t),
-            alpha=self.alpha, beta=self.beta,
-            lu_over_ld=self.lu_over_ld,
-            ld_prime_over_ld=self.ld_prime_over_ld)
-
-
 @dataclass(frozen=True)
 class GridKernel:
     """Kernel sampled on a uniform grid; zero above the diagonal.

@@ -26,7 +26,9 @@ The filter loop runs in the kernel the build provides (oucap.backends): the
 compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.  It
 carries the estimation error rather than the estimate, so the squared error
 keeps its relative precision however small the MMSE gets, and it consumes
-each batch's noise draws.
+each batch's noise draws.  One batch of draws is alive per filtering thread:
+its trials are drawn straight into the batch's buffers, split over the CPUs
+that the batch pool leaves free when trials are long (SPLIT_STEPS).
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -56,6 +58,12 @@ BATCH_SIZE = 512
 # Rows of the run_sk_scheme curves, at (near-)equispaced step indices
 # including 0 and n.
 OUTPUT_POINTS = 101
+# Steps per trial from which a batch's draws are split over threads.  A
+# normal fill releases the GIL only while it runs, and each trial's
+# generator set-up holds it, so on shorter trials two threads drew a batch
+# more slowly than one (2 CPUs, 512 x 200: 0.036 s against 0.022 s); the two
+# crossed near 1500 steps.
+SPLIT_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -126,18 +134,21 @@ class SimReport:
         ]
 
 
-def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0):
+def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0,
+                head: np.ndarray | None = None, xi: np.ndarray | None = None):
     """Trial `trial`'s standard draws, in contract order: (head of 2 normals,
     xi of shape (2, steps), message index), the last an integer drawn
     uniformly from 1..messages when messages > 0 and 0 (not drawn) otherwise.
+    Given C-contiguous `head` and `xi` of those shapes, the normals are
+    drawn into them in place.
 
     The child seed is built directly; its stream is identical to
     SeedSequence(master_seed).spawn(trials)[trial] without the O(trials) spawn.
     """
     child = np.random.SeedSequence(master_seed, spawn_key=(trial,))
     g = np.random.Generator(np.random.PCG64(child))
-    head = g.standard_normal(2)
-    xi = g.standard_normal((2, steps))
+    head = g.standard_normal(2, out=head)
+    xi = g.standard_normal((2, steps), out=xi)
     message = int(g.integers(1, messages + 1)) if messages else 0
     return head, xi, message
 
@@ -315,31 +326,54 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
                    zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
 
 
-def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int):
-    """Trials lo..hi-1 drawn by _draw_trial, stacked: (th0, zeta0, xi1, xi2,
-    message indices)."""
+def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
+                parts: int = 1):
+    """Trials lo..hi-1 drawn by _draw_trial into one (m, 2) head and one
+    (m, 2, n) noise buffer, every parts-th trial by each of `parts` threads
+    (the calling thread one of them): (th0, zeta0, xi1, xi2, message
+    indices), xi1 and xi2 being the views xi[:, 0] and xi[:, 1]."""
     m = hi - lo
-    th0 = np.empty(m)
-    zeta0 = np.empty(m)
-    xi1 = np.empty((m, n))
-    xi2 = np.empty((m, n))
+    head = np.empty((m, 2))
+    xi = np.empty((m, 2, n))
     sent = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        head, xi, sent[i] = _draw_trial(master_seed, lo + i, n, messages)
-        th0[i] = head[0]
-        zeta0[i] = head[1]
-        xi1[i] = xi[0]
-        xi2[i] = xi[1]
-    return th0, zeta0, xi1, xi2, sent
+
+    def draw(part: int) -> None:
+        for i in range(part, m, parts):
+            _, _, sent[i] = _draw_trial(master_seed, lo + i, n, messages, head[i], xi[i])
+
+    # an executor starts its threads on submit, so a serial draw starts none
+    with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
+        helpers = [pool.submit(draw, part) for part in range(1, parts)]
+        draw(0)
+        for helper in helpers:
+            helper.result()
+    # contiguous rows, as the compiled kernel's double[::1] arguments need
+    th0, zeta0 = head.T.copy()
+    return th0, zeta0, xi[:, 0], xi[:, 1], sent
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool_width(kern, batches: int) -> int:
-    """Threads for the filter batches: one per CPU, at most one per batch, for
-    the compiled kernel, which releases the GIL; 1 for the numpy kernel, which
-    holds it, so that threads would only add switching."""
+    """Threads for the filter batches: one per usable CPU, at most one per
+    batch, for the compiled kernel, which releases the GIL; 1 for the numpy
+    kernel, which holds it, so that threads would only add switching."""
     if kern.NAME == "numpy":
         return 1
-    return max(1, min(os.cpu_count() or 1, batches))
+    return max(1, min(_usable_cpus(), batches))
+
+
+def _draw_width(pool_width: int) -> int:
+    """Threads drawing each batch: the usable CPUs that a pool of
+    `pool_width` filtering threads leaves, so that the threads of a run
+    never outnumber the CPUs."""
+    return max(1, _usable_cpus() // pool_width)
 
 
 def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
@@ -349,11 +383,12 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
 
     Trial i sends its standard-normal Theta0 or, given `grid`, the grid point
     of the message index 1..grid.size it draws after its noise block.  Each
-    batch is drawn by the thread that filters it, so each pool thread holds
-    one batch of draws.  Returns (kernel name, scheme, per-trial rows of the
-    squared error at out_idx, terminal estimates, message indices); per-trial
-    rows make results independent of batching and threads.  innov_rows, if
-    given, receives the standardized innovations.
+    pool thread draws the batch it filters, helped from SPLIT_STEPS steps on
+    by the threads of _draw_width, and holds that one batch of draws.
+    Returns (kernel name, scheme, per-trial rows of the squared error at
+    out_idx, terminal estimates, message indices); per-trial rows make
+    results independent of batching and threads.  innov_rows, if given,
+    receives the standardized innovations.
     """
     kern = backends.get_backend()
     n = cfg.steps
@@ -365,10 +400,13 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     sent = np.empty(trials, dtype=np.int64)
     edges = list(range(0, trials, BATCH_SIZE)) + [trials]
     batches = range(len(edges) - 1)
+    workers = _pool_width(kern, len(batches))
+    parts = _draw_width(workers) if n >= SPLIT_STEPS else 1
 
     def run_batch(b: int):
         lo, hi = edges[b], edges[b + 1]
-        th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n, messages)
+        th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n,
+                                                        messages, parts)
         if grid is not None:
             th0 = grid[sent[lo:hi] - 1]
         zeta0 = zeta0 * scheme.zeta_scale
@@ -376,7 +414,6 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
 
-    workers = _pool_width(kern, len(batches))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, batches))

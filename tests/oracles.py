@@ -15,7 +15,8 @@ import numpy as np
 from scipy.integrate import dblquad, quad, solve_ivp
 from scipy.signal import lfilter
 
-from oucap.errors import FilterDivergence
+from oucap.errors import FilterDivergence, OucapError
+from oucap.kernels import SeparableKernel
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -396,3 +397,55 @@ def abel_solve_ivp(coeffs, horizon: float, step: float):
     assert sol.success, sol.message
     samples = sol.sol(times)
     return samples[0], 0.5 * math.log(power) + samples[1]
+
+
+# relative residual of the gain identity above which gain_from_kernel rejects
+# the kernel as not matching the trajectory
+GAIN_IDENTITY_RTOL = 1e-3
+
+
+class KernelDomainMismatch(OucapError):
+    """A kernel is not usable on the requested grid (wrong domain, zero l_d)."""
+
+
+def gain_from_kernel(traj, kernel: SeparableKernel) -> np.ndarray:
+    """Gain curve H(t_i) = A(t_i) + (1/l_d(t_i)) int_0^{t_i} l_u A ds by
+    trapezoid accumulation on the trajectory grid.
+
+    Also asserts the defining identity sqrt(2) g A l_d = l_d A + int l_u A
+    on the grid; a relative residual above GAIN_IDENTITY_RTOL means the
+    kernel does not match the trajectory's coefficients (or the grid is far
+    too coarse) and raises KernelDomainMismatch.  The guard is loose;
+    precision studies belong to the caller, who controls the grid.
+    """
+    t = traj.times
+    ld = np.asarray(kernel.l_d(t), dtype=float)
+    lu = np.asarray(kernel.l_u(t), dtype=float)
+    if not (np.all(np.isfinite(ld)) and np.all(np.isfinite(lu))):
+        raise KernelDomainMismatch("kernel factors not finite on [0, horizon]")
+    if np.any(ld == 0.0):
+        raise KernelDomainMismatch("l_d vanishes on the trajectory grid")
+    A = traj.a
+    y = lu * A
+    integral = np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
+    H = A + integral / ld
+    lhs = math.sqrt(2.0) * traj.g * A * ld
+    rhs = ld * A + integral
+    resid = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(ld * A)))
+    if not resid < GAIN_IDENTITY_RTOL:
+        raise KernelDomainMismatch(
+            f"gain identity residual {resid:.3e} exceeds {GAIN_IDENTITY_RTOL:.1e}; "
+            "kernel and trajectory disagree")
+    return H
+
+
+def scaled_kernel(kernel: SeparableKernel, c: float) -> SeparableKernel:
+    """The same kernel under the factorization (c*l_u, c*l_d)."""
+    if c == 0:
+        raise ValueError("scaling constant must be nonzero")
+    return SeparableKernel(
+        l_u=lambda t: c * kernel.l_u(t),
+        l_d=lambda t: c * kernel.l_d(t),
+        alpha=kernel.alpha, beta=kernel.beta,
+        lu_over_ld=kernel.lu_over_ld,
+        ld_prime_over_ld=kernel.ld_prime_over_ld)

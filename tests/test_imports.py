@@ -66,7 +66,6 @@ classify_root_convergence(abel_for_channel(colored), 50.0)
 limiting_cubic_roots(abel_from_kernel(ou_resolvent_kernel(colored), 2.0))
 kernel = ou_resolvent_kernel(colored)
 traj = integrate_abel(abel_for_channel(colored), horizon=4.0, step=0.004)
-gain_from_kernel(traj, kernel)
 l = sample_kernel(kernel, horizon=4.0, n=101)
 resolvent_residual(recover_h_from_l(l), l)
 

@@ -14,7 +14,7 @@ from oucap import (
     sample_kernel,
 )
 
-from oracles import exact_resolvent_pair
+from oracles import exact_resolvent_pair, scaled_kernel
 
 
 def grid_kernel_from_arrays(grid, values):
@@ -88,7 +88,7 @@ def test_separable_scaling_leaves_kernel_invariant():
     base = ou_resolvent_kernel(ChannelParams(-0.5, 1.0, 1.0))
     pts = [(1.0, 0.2), (3.0, 2.9), (0.5, 0.0)]
     for c in (2.0, 10.0):
-        scaled = base.scaled(c)
+        scaled = scaled_kernel(base, c)
         assert scaled.alpha == base.alpha and scaled.beta == base.beta
         for s, u in pts:
             assert scaled(s, u) == pytest.approx(base(s, u), rel=1e-12)

@@ -237,6 +237,37 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     four = run_sk_scheme(P_STD, cfg, traj_std)
     assert np.array_equal(one.mmse_emp, four.mmse_emp)
     assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
+    # each batch's draws split over 1 and 4 threads, forced on at 300 steps
+    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 1)
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    draw_trial = simulate._draw_trial
+    drawers = set()
+
+    def spy_draw(*args):
+        drawers.add(threading.get_ident())
+        return draw_trial(*args)
+
+    monkeypatch.setattr(simulate, "_draw_trial", spy_draw)
+    for width in (1, 4):
+        monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: width)
+        drawers.clear()
+        split = run_sk_scheme(P_STD, cfg, traj_std)
+        assert drawers == {threading.get_ident()} if width == 1 else len(drawers) >= width
+        assert np.array_equal(one.mmse_emp, split.mmse_emp)
+        assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
+    monkeypatch.setattr(simulate, "_draw_trial", draw_trial)
+    # two threads fill the batch buffers with each trial's own draws
+    lo, hi, messages = 3, 70, 64
+    th0, zeta0, xi1, xi2, sent = simulate._draw_batch(cfg.master_seed, lo, hi, cfg.steps,
+                                                      messages, 2)
+    trials = [simulate._draw_trial(cfg.master_seed, i, cfg.steps, messages)
+              for i in range(lo, hi)]
+    assert np.array_equal(th0, [head[0] for head, _, _ in trials])
+    assert np.array_equal(zeta0, [head[1] for head, _, _ in trials])
+    assert np.array_equal(xi1, [xi[0] for _, xi, _ in trials])
+    assert np.array_equal(xi2, [xi[1] for _, xi, _ in trials])
+    assert np.array_equal(sent, [message for _, _, message in trials])
+    assert 1 <= sent.min() < sent.max() <= messages
     monkeypatch.undo()
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
 
@@ -261,12 +292,64 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     assert np.array_equal(one.mmse_emp, a.mmse_emp)
 
 
-def test_pool_width_caps_at_cpus_and_batches():
+def test_pool_width_caps_at_cpus_and_batches(monkeypatch):
     compiled = type("Kernel", (), {"NAME": "cython"})
+    cpus = simulate._usable_cpus()
+    assert 1 <= cpus <= (os.cpu_count() or 1)
     assert simulate._pool_width(compiled, 1) == 1
-    assert 1 <= simulate._pool_width(compiled, 10**6) <= (os.cpu_count() or 1)
-    assert simulate._pool_width(compiled, 2) == min(2, os.cpu_count() or 1)
+    assert simulate._pool_width(compiled, 10**6) == cpus
+    assert simulate._pool_width(compiled, 2) == min(2, cpus)
     assert simulate._pool_width(backends._sk_numpy, 8) == 1
+    # batch threads times draw threads never exceed the usable CPUs, which
+    # an affinity set narrows below the machine's count
+    for affinity in ({0}, {0, 1, 2}, set(range(8))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert simulate._usable_cpus() == len(affinity)
+        for kern in (compiled, backends._sk_numpy):
+            for batches in (1, 2, 5, 100):
+                workers = simulate._pool_width(kern, batches)
+                assert 1 <= workers * simulate._draw_width(workers) <= len(affinity)
+        assert simulate._draw_width(simulate._pool_width(backends._sk_numpy, 4)) == len(affinity)
+        assert simulate._draw_width(simulate._pool_width(compiled, 100)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert simulate._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
+
+
+def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
+    # pinned to one CPU, a long-trial run starts no thread: its draws and
+    # its filtering stay on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
+    original = simulate._draw_trial
+    callers = set()
+
+    def spy(*args):
+        callers.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(simulate, "_draw_trial", spy)
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("a thread was started"))
+    cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
+    run_sk_scheme(P_STD, cfg, traj_std)
+    decode_message(P_STD, cfg, traj_std, grid_size=16)
+    assert callers == {threading.get_ident()}
+
+
+def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 4)
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
+    cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
+    before = threading.active_count()
+    run_sk_scheme(P_STD, cfg, traj_std)
+    assert threading.active_count() == before
+    decode_message(P_STD, cfg, traj_std, grid_size=16)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("lam,kappa", [
@@ -442,16 +525,21 @@ def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
     batches = -(-cfg.trials // simulate.BATCH_SIZE)
     bound = (simulate._pool_width(backends.get_backend(), batches) + 0.5) * batch_bytes
     warm = replace(cfg, trials=1)
-    for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
-                lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
-        run(warm)  # one-off allocations of a first call are not per batch
-        tracemalloc.start()
-        try:
-            run(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    # the second pass splits each batch's draws over two threads, which must
+    # fill the one batch of buffers rather than draw a batch each
+    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 2)
+    for split_steps in (simulate.SPLIT_STEPS, 0):
+        monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+        for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
+                    lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
+            run(warm)  # one-off allocations of a first call are not per batch
+            tracemalloc.start()
+            try:
+                run(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 def test_ljung_box_rejects_correlated_series():
