@@ -135,12 +135,14 @@ class SimReport:
 
 
 def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0,
-                head: np.ndarray | None = None, xi: np.ndarray | None = None):
+                head: np.ndarray | None = None,
+                xi: tuple[np.ndarray, np.ndarray] | None = None):
     """Trial `trial`'s standard draws, in contract order: (head of 2 normals,
     xi of shape (2, steps), message index), the last an integer drawn
     uniformly from 1..messages when messages > 0 and 0 (not drawn) otherwise.
-    Given C-contiguous `head` and `xi` of those shapes, the normals are
-    drawn into them in place.
+    Given a C-contiguous `head` of 2 and `xi` as two C-contiguous rows of
+    `steps`, the normals are drawn into them in place; the rows are filled
+    one after the other, which is the stream of one (2, steps) fill.
 
     The child seed is built directly; its stream is identical to
     SeedSequence(master_seed).spawn(trials)[trial] without the O(trials) spawn.
@@ -148,7 +150,9 @@ def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0,
     child = np.random.SeedSequence(master_seed, spawn_key=(trial,))
     g = np.random.Generator(np.random.PCG64(child))
     head = g.standard_normal(2, out=head)
-    xi = g.standard_normal((2, steps), out=xi)
+    xi = np.empty((2, steps)) if xi is None else xi
+    for row in xi:
+        g.standard_normal(out=row)
     message = int(g.integers(1, messages + 1)) if messages else 0
     return head, xi, message
 
@@ -328,18 +332,21 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
 
 def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
                 parts: int = 1):
-    """Trials lo..hi-1 drawn by _draw_trial into one (m, 2) head and one
-    (m, 2, n) noise buffer, every parts-th trial by each of `parts` threads
+    """Trials lo..hi-1 drawn by _draw_trial into one (m, 2) head and two
+    (m, n) noise buffers, every parts-th trial by each of `parts` threads
     (the calling thread one of them): (th0, zeta0, xi1, xi2, message
-    indices), xi1 and xi2 being the views xi[:, 0] and xi[:, 1]."""
+    indices), all C-contiguous, as the compiled kernel's double[::1] and
+    double[:, ::1] arguments need."""
     m = hi - lo
     head = np.empty((m, 2))
-    xi = np.empty((m, 2, n))
+    xi1 = np.empty((m, n))
+    xi2 = np.empty((m, n))
     sent = np.empty(m, dtype=np.int64)
 
     def draw(part: int) -> None:
         for i in range(part, m, parts):
-            _, _, sent[i] = _draw_trial(master_seed, lo + i, n, messages, head[i], xi[i])
+            _, _, sent[i] = _draw_trial(master_seed, lo + i, n, messages,
+                                        head[i], (xi1[i], xi2[i]))
 
     # an executor starts its threads on submit, so a serial draw starts none
     with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
@@ -347,9 +354,8 @@ def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
         draw(0)
         for helper in helpers:
             helper.result()
-    # contiguous rows, as the compiled kernel's double[::1] arguments need
     th0, zeta0 = head.T.copy()
-    return th0, zeta0, xi[:, 0], xi[:, 1], sent
+    return th0, zeta0, xi1, xi2, sent
 
 
 def _usable_cpus() -> int:

@@ -292,6 +292,33 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     assert np.array_equal(one.mmse_emp, a.mmse_emp)
 
 
+def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
+    # the compiled kernel takes double[::1] and double[:, ::1] arguments,
+    # which reject a strided array, so every array the kernel is handed must
+    # be C-contiguous, on the serial and on the split draw path alike
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
+    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 2)
+    kern = backends.get_backend()
+    original = kern.filter_batch
+    handed = []
+
+    def spy(*args):
+        handed.extend(a for a in args if isinstance(a, np.ndarray))
+        return original(*args)
+
+    monkeypatch.setattr(kern, "filter_batch", spy)
+    cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
+    for split_steps, parts in ((simulate.SPLIT_STEPS, 1), (0, 2)):
+        monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+        for arr in simulate._draw_batch(cfg.master_seed, 3, 37, cfg.steps, 16, parts):
+            assert arr.flags.c_contiguous
+        handed.clear()
+        run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True)
+        decode_message(P_STD, cfg, traj_std, grid_size=16)
+        assert len(handed) > 0
+        assert all(arr.flags.c_contiguous for arr in handed)
+
+
 def test_pool_width_caps_at_cpus_and_batches(monkeypatch):
     compiled = type("Kernel", (), {"NAME": "cython"})
     cpus = simulate._usable_cpus()
