@@ -1,13 +1,12 @@
-"""Pure-numpy kernel for the per-step feedback-filter recursion.
+"""Numpy kernel for the per-step feedback-filter recursion.
 
-It runs where the compiled oucap._sk_core is not built (oucap.backends), and
-it is the reference the compiled kernel is tested against.  It mirrors
-oucap._sk_core exactly: same draw layout, same arithmetic order
-(left-associated sums, no fused operations), so the two kernels produce
-bit-identical trajectories on IEEE-754 hardware.  Its per-step loop holds
-the GIL, so simulate runs its batches on the calling thread.
+Each step is a handful of ``out=`` ufunc calls vectorised across the trials
+of a batch, in a fixed arithmetic order (left-associated sums, no fused
+operations), so a trial's trajectory does not depend on the batch it runs
+in.  The per-step loop holds the GIL, so simulate runs its batches on the
+calling thread.
 
-Both kernels carry the error state e = (Theta0 - m0, Z0 - m1, zeta0 - m2)
+The kernel carries the error state e = (Theta0 - m0, Z0 - m1, zeta0 - m2)
 rather than the estimate m, so the squared error e0^2 keeps its relative
 precision however small it gets; the channel output and the OU path never
 need forming, because the innovation depends on the error alone.

@@ -200,6 +200,8 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
     d1 = rms(kg / sc_g, ks / sc_s)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
+    if not h0 > 0.0:
+        raise StepSizeUnderflow(f"initial ODE step {h0!r} is not positive")
     g1 = g + h0 * kg
     d2 = rms((f(h0, g1) - kg) / sc_g, (P * g1 * g1 - ks) / sc_s) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -272,11 +274,12 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
     accumulated as an extra state so amplitude quadrature shares the
     integrator's error control.  The samples come from each step's quartic
     dense output.  r_limit = g(horizon); classify_root_convergence names the
-    limiting-cubic root it settles on.  A non-finite right-hand side, or a
-    step size that underflows, raises StepSizeUnderflow.
+    limiting-cubic root it settles on.  A right-hand side that is not finite
+    or whose coefficients divide by zero, or a step size that underflows,
+    raises StepSizeUnderflow.
     """
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be positive")
+    if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
+        raise ValueError("horizon and step must be positive and finite")
     if step > horizon / 100.0:
         raise ValueError(f"step must be <= horizon/100, got {step}")
     if coeffs.power <= 0:
@@ -288,7 +291,12 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
     isfinite = math.isfinite
 
     def rhs(t, g):
-        d = -P * g * g * g + half_p * g * g + p(t) * g + q(t) / SQRT2
+        try:
+            pt, qt = p(t), q(t)
+        except ZeroDivisionError:
+            # math floats raise where numpy would return inf
+            raise StepSizeUnderflow(f"coefficient divides by zero at t={t}") from None
+        d = -P * g * g * g + half_p * g * g + pt * g + qt / SQRT2
         if not isfinite(d):
             # raise here: the step controller would otherwise shrink the
             # step forever without ever reporting failure

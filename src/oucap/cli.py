@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oucap",
         description="Feedback capacity of the OU-colored additive Gaussian "
         "noise channel: closed form, ODE and discrete limits, Monte Carlo, "
-        "and non-feedback spectra.  Simulation runs the compiled kernel when "
-        "the build made it, and the numpy kernel otherwise.",
+        "and non-feedback spectra.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)

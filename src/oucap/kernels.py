@@ -109,7 +109,9 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     common factors are harmless since only the ratio enters downstream.
     l_d never vanishes on [0, inf): for kappa+lam != 0, l_d(0) =
     -4 kappa (kappa+lam) and l_d' has the same sign, so l_d only moves away
-    from zero.
+    from zero.  In floats it can: once kappa falls below about 5e-17 |lam|,
+    the ratios' denominator rounds to zero at t = 0, and a float argument
+    raises ZeroDivisionError there (integrate_abel reports StepSizeUnderflow).
     alpha and beta follow the large-time limits of l_u/l_d and l_d'/l_d.
 
     The ratio callables are algebraically normalized so they stay finite

@@ -19,16 +19,15 @@ scaled by (2 kappa)^{-1/2}) followed by a (2, steps) standard-normal matrix
 whose first row scales into the Brownian increments and whose second row
 supplies the extra OU randomness; decode_message's trials then draw their
 message index (``_draw_trial``).  Aggregation is in trial order with a fixed
-batch size, so results are bit-identical regardless of batching, thread
-count, or which filter kernel the build provides.
+batch size, so results are bit-identical regardless of batching or thread
+count.
 
-The filter loop runs in the kernel the build provides (oucap.backends): the
-compiled oucap._sk_core when it is built, oucap._sk_numpy otherwise.  It
-carries the estimation error rather than the estimate, so the squared error
-keeps its relative precision however small the MMSE gets, and it consumes
-each batch's noise draws.  One batch of draws is alive per filtering thread:
-its trials are drawn straight into the batch's buffers, split over the CPUs
-that the batch pool leaves free when trials are long (SPLIT_STEPS).
+The filter loop runs in the numpy kernel (oucap.backends), one batch at a
+time on the calling thread.  It carries the estimation error rather than the
+estimate, so the squared error keeps its relative precision however small
+the MMSE gets, and it consumes each batch's noise draws.  One batch of draws
+is alive at a time: its trials are drawn straight into the batch's buffers,
+split over the usable CPUs when trials are long (SPLIT_STEPS).
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -335,8 +334,7 @@ def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
     """Trials lo..hi-1 drawn by _draw_trial into one (m, 2) head and two
     (m, n) noise buffers, every parts-th trial by each of `parts` threads
     (the calling thread one of them): (th0, zeta0, xi1, xi2, message
-    indices), all C-contiguous, as the compiled kernel's double[::1] and
-    double[:, ::1] arguments need."""
+    indices), all C-contiguous."""
     m = hi - lo
     head = np.empty((m, 2))
     xi1 = np.empty((m, n))
@@ -366,35 +364,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_width(kern, batches: int) -> int:
-    """Threads for the filter batches: one per usable CPU, at most one per
-    batch, for the compiled kernel, which releases the GIL; 1 for the numpy
-    kernel, which holds it, so that threads would only add switching."""
-    if kern.NAME == "numpy":
-        return 1
-    return max(1, min(_usable_cpus(), batches))
-
-
-def _draw_width(pool_width: int) -> int:
-    """Threads drawing each batch: the usable CPUs that a pool of
-    `pool_width` filtering threads leaves, so that the threads of a run
-    never outnumber the CPUs."""
-    return max(1, _usable_cpus() // pool_width)
-
-
 def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
                 out_idx: np.ndarray, grid: np.ndarray | None = None,
                 innov_rows: np.ndarray | None = None):
     """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
 
     Trial i sends its standard-normal Theta0 or, given `grid`, the grid point
-    of the message index 1..grid.size it draws after its noise block.  Each
-    pool thread draws the batch it filters, helped from SPLIT_STEPS steps on
-    by the threads of _draw_width, and holds that one batch of draws.
-    Returns (kernel name, scheme, per-trial rows of the squared error at
-    out_idx, terminal estimates, message indices); per-trial rows make
-    results independent of batching and threads.  innov_rows, if given,
-    receives the standardized innovations.
+    of the message index 1..grid.size it draws after its noise block.  The
+    batches run one after another on the calling thread, each drawn, from
+    SPLIT_STEPS steps on, by one thread per usable CPU, so one batch of
+    draws is alive at a time.  Returns (kernel name, scheme, per-trial rows
+    of the squared error at out_idx, terminal estimates, message indices);
+    per-trial rows make results independent of batching and threads.
+    innov_rows, if given, receives the standardized innovations.
     """
     kern = backends.get_backend()
     n = cfg.steps
@@ -404,13 +386,9 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     sq_rows = np.empty((trials, out_idx.size))
     mtheta = np.empty(trials)
     sent = np.empty(trials, dtype=np.int64)
-    edges = list(range(0, trials, BATCH_SIZE)) + [trials]
-    batches = range(len(edges) - 1)
-    workers = _pool_width(kern, len(batches))
-    parts = _draw_width(workers) if n >= SPLIT_STEPS else 1
-
-    def run_batch(b: int):
-        lo, hi = edges[b], edges[b + 1]
+    parts = _usable_cpus() if n >= SPLIT_STEPS else 1
+    for lo in range(0, trials, BATCH_SIZE):
+        hi = min(lo + BATCH_SIZE, trials)
         th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n,
                                                         messages, parts)
         if grid is not None:
@@ -419,13 +397,8 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         innov = None if innov_rows is None else innov_rows[lo:hi]
         kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
                           out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_batch, batches))
-    else:
-        for b in batches:
-            run_batch(b)
+        # free this batch's draws before the next batch is drawn
+        del th0, zeta0, xi1, xi2
     return kern.NAME, scheme, sq_rows, mtheta, sent
 
 
@@ -435,8 +408,8 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
 
     `traj` must come from the gain ODE for the same parameters with horizon
     at least cfg.horizon.  Results are bit-identical for a fixed
-    (master_seed, cfg) whichever kernel the build provides and however many
-    threads run it; SimReport.backend names the kernel that ran.
+    (master_seed, cfg) however the trials are batched and however many
+    threads draw them; SimReport.backend names the kernel that ran.
     """
     n = cfg.steps
     out_idx = np.unique(np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64))

@@ -257,9 +257,8 @@ def simulate_noise(params, cfg, trial: int = 0) -> NoisePath:
 def scalar_filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
                         u, sqrt_delta, lam_delta, c1, c2,
                         out_idx, sqerr_out, mtheta_out, innov_out):
-    """The loop of oucap/_sk_core.pyx in plain Python floats, one trial at a
-    time and one operation per operation there, so that it runs without
-    Cython and pins the arithmetic order the compiled kernel follows.
+    """The filter recursion in plain Python floats, one trial and one
+    operation at a time: the arithmetic order the numpy kernel keeps.
     Same contract as filter_batch, except that xi1 and xi2 are only read."""
     m, n = xi1.shape
     hA, hzeta, K0, K1, K2, inv_sqrt_s = (

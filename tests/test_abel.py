@@ -226,6 +226,11 @@ def test_integrate_abel_validation():
         integrate_abel(coeffs, horizon=10.0, step=0.5)  # step > horizon/100
     with pytest.raises(ValueError):
         integrate_abel(constant_coefficients(0.0, 0.0, 0.0), horizon=10.0, step=0.05)
+    # a non-finite horizon or step is refused, not integrated
+    for horizon, step in ((math.nan, 0.05), (math.inf, 0.05), (10.0, math.nan),
+                          (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_abel(coeffs, horizon=horizon, step=step)
 
 
 def test_non_finite_coefficients_raise_step_underflow():
@@ -237,6 +242,22 @@ def test_non_finite_coefficients_raise_step_underflow():
         power=2.0,
     )
     with pytest.raises(StepSizeUnderflow):
+        integrate_abel(bad, horizon=10.0, step=0.05)
+
+
+@pytest.mark.parametrize("lam, kappa", [(-0.5, 1e-300), (0.5, 1e-20)])
+def test_kappa_far_below_lambda_raises_step_underflow(lam, kappa):
+    # the kernel's float ratio denominator rounds to zero at t = 0
+    coeffs = abel_for_channel(ChannelParams(lam, kappa, 2.0))
+    with pytest.raises(StepSizeUnderflow, match="t=0.0"):
+        integrate_abel(coeffs, horizon=50.0, step=0.05)
+
+
+def test_huge_coefficient_raises_step_underflow():
+    # the initial-step rule divides by a step that underflows to 0 here
+    bad = AbelCoefficients(p=lambda t: -1e300, q=lambda t: 0.0,
+                           p_limit=-1e300, q_limit=0.0, power=2.0)
+    with pytest.raises(StepSizeUnderflow, match="initial"):
         integrate_abel(bad, horizon=10.0, step=0.05)
 
 

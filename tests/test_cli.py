@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -82,6 +86,30 @@ def test_invalid_kappa_exits_two(capsys):
     code = main(["capacity", "--lambda", "0", "--kappa", "-1", "--power", "1"])
     assert code == 2
     assert "kappa" in capsys.readouterr().err
+
+
+ODE_CHANNEL = ["--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "ode"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["capacity", *ODE_CHANNEL, "--horizon", "nan"], 2),
+    # refused, not integrated: an infinite horizon never finishes
+    (["capacity", *ODE_CHANNEL, "--horizon", "inf"], 2),
+    # kappa far below |lambda|: the kernel's float ratios divide by zero
+    (["capacity", "--lambda", "-0.5", "--kappa", "1e-300", "--power", "2", "--route", "ode"], 3),
+    (["capacity", "--lambda", "0.5", "--kappa", "1e-20", "--power", "2", "--route", "ode"], 3),
+    (["simulate", "--lambda", "-0.5", "--kappa", "1e-300", "--power", "2",
+      "--steps", "100", "--trials", "2"], 3),
+], ids=["horizon-nan", "horizon-inf", "kappa-1e-300", "kappa-1e-20", "simulate-kappa-1e-300"])
+def test_failures_reach_the_user_as_errors_not_tracebacks(argv, code):
+    src = str(Path(oucap.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "oucap.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == code
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_flag_exits_two():

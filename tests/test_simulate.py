@@ -195,19 +195,16 @@ def test_recursion_residual_helper():
         assert arma_recursion_residual(z[i], b, params, cfg.delta) < 1e-12
 
 
-def test_run_sk_deterministic_and_backend_independent(monkeypatch):
+def test_run_sk_deterministic_and_backend_independent():
     cfg = SimConfig(horizon=5.0, steps=500, trials=300, master_seed=31)
     traj = make_traj(P_STD, 5.0)
     a = run_sk_scheme(P_STD, cfg, traj)
     b = run_sk_scheme(P_STD, cfg, traj)
     assert np.array_equal(a.mmse_emp, b.mmse_emp)
     assert np.array_equal(a.power_emp, b.power_emp)
-    # a build without the compiled extension runs the numpy kernel
-    monkeypatch.setattr(backends, "_sk_core", None)
-    c = run_sk_scheme(P_STD, cfg, traj)
-    assert c.backend == "numpy"
-    assert np.array_equal(a.mmse_emp, c.mmse_emp)
-    assert np.array_equal(a.power_emp, c.power_emp)
+    # the one kernel, reached through oucap.backends, names itself
+    assert backends.get_backend() is backends._sk_numpy
+    assert a.backend == "numpy"
 
 
 def test_run_sk_batch_size_invariance(traj_std, monkeypatch):
@@ -228,17 +225,10 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     cfg = SimConfig(horizon=10.0, steps=300, trials=500, master_seed=41)
     dcfg = replace(cfg, horizon=2.0)  # decoding makes errors
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
-    # the kernel this build provides, on pools of width 1 and 4
-    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 1)
     one = run_sk_scheme(P_STD, cfg, traj_std)
     err_one = decode_message(P_STD, dcfg, traj_std, grid_size=64)
     assert 0.0 < err_one < 1.0
-    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 4)
-    four = run_sk_scheme(P_STD, cfg, traj_std)
-    assert np.array_equal(one.mmse_emp, four.mmse_emp)
-    assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
     # each batch's draws split over 1 and 4 threads, forced on at 300 steps
-    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 1)
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     draw_trial = simulate._draw_trial
     drawers = set()
@@ -249,7 +239,7 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
 
     monkeypatch.setattr(simulate, "_draw_trial", spy_draw)
     for width in (1, 4):
-        monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: width)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
         drawers.clear()
         split = run_sk_scheme(P_STD, cfg, traj_std)
         assert drawers == {threading.get_ident()} if width == 1 else len(drawers) >= width
@@ -271,7 +261,6 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
 
-    monkeypatch.setattr(backends, "_sk_core", None)
     kern = backends.get_backend()
     original = kern.filter_batch
     callers = set()
@@ -282,22 +271,18 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
 
     monkeypatch.setattr(kern, "filter_batch", spy)
     a = run_sk_scheme(P_STD, cfg, traj_std)
-    # the numpy kernel holds the GIL, so its batches stay on the calling thread
+    # the kernel holds the GIL, so every batch runs on the calling thread
     assert callers == {threading.get_ident()}
-    # forced onto the pool path, the numpy kernel must give the same results
-    monkeypatch.setattr(simulate, "_pool_width", lambda kern, batches: 4)
-    b = run_sk_scheme(P_STD, cfg, traj_std)
-    assert len(callers) > 1
-    assert np.array_equal(a.mmse_emp, b.mmse_emp)
     assert np.array_equal(one.mmse_emp, a.mmse_emp)
 
 
 def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
-    # the compiled kernel takes double[::1] and double[:, ::1] arguments,
-    # which reject a strided array, so every array the kernel is handed must
-    # be C-contiguous, on the serial and on the split draw path alike
+    # each trial's normals are drawn in place into its rows, which a normal
+    # fill needs C-contiguous, and the kernel is handed those same buffers:
+    # every array it gets is C-contiguous, on the serial and on the split
+    # draw path alike
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
-    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 2)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     kern = backends.get_backend()
     original = kern.filter_batch
     handed = []
@@ -319,25 +304,13 @@ def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
         assert all(arr.flags.c_contiguous for arr in handed)
 
 
-def test_pool_width_caps_at_cpus_and_batches(monkeypatch):
-    compiled = type("Kernel", (), {"NAME": "cython"})
-    cpus = simulate._usable_cpus()
-    assert 1 <= cpus <= (os.cpu_count() or 1)
-    assert simulate._pool_width(compiled, 1) == 1
-    assert simulate._pool_width(compiled, 10**6) == cpus
-    assert simulate._pool_width(compiled, 2) == min(2, cpus)
-    assert simulate._pool_width(backends._sk_numpy, 8) == 1
-    # batch threads times draw threads never exceed the usable CPUs, which
-    # an affinity set narrows below the machine's count
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    assert 1 <= simulate._usable_cpus() <= (os.cpu_count() or 1)
+    # the draw threads never exceed the usable CPUs, which an affinity set
+    # narrows below the machine's count
     for affinity in ({0}, {0, 1, 2}, set(range(8))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         assert simulate._usable_cpus() == len(affinity)
-        for kern in (compiled, backends._sk_numpy):
-            for batches in (1, 2, 5, 100):
-                workers = simulate._pool_width(kern, batches)
-                assert 1 <= workers * simulate._draw_width(workers) <= len(affinity)
-        assert simulate._draw_width(simulate._pool_width(backends._sk_numpy, 4)) == len(affinity)
-        assert simulate._draw_width(simulate._pool_width(compiled, 100)) == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     assert simulate._usable_cpus() == 6
@@ -369,7 +342,7 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
 
 def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
-    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 4)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
     before = threading.active_count()
@@ -541,20 +514,18 @@ def test_decode_message_draws_each_message_after_its_noise(traj_std):
 
 
 def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
-    # a batch draws 2 * BATCH_SIZE * steps normals, and each pool thread
-    # holds its own batch; holding the previous batch while drawing the next
-    # doubles the peak.  The per-trial state (seed sequences, output rows)
-    # stays small against that at this shape.
+    # a batch draws 2 * BATCH_SIZE * steps normals; holding the previous
+    # batch while drawing the next doubles the peak.  The per-trial state
+    # (seed sequences, output rows) stays small against that at this shape.
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
     monkeypatch.setattr(simulate, "OUTPUT_POINTS", 11)
     cfg = SimConfig(horizon=10.0, steps=2000, trials=192, master_seed=73)
     batch_bytes = 2 * simulate.BATCH_SIZE * cfg.steps * 8
-    batches = -(-cfg.trials // simulate.BATCH_SIZE)
-    bound = (simulate._pool_width(backends.get_backend(), batches) + 0.5) * batch_bytes
+    bound = 1.5 * batch_bytes
     warm = replace(cfg, trials=1)
     # the second pass splits each batch's draws over two threads, which must
     # fill the one batch of buffers rather than draw a batch each
-    monkeypatch.setattr(simulate, "_draw_width", lambda pool_width: 2)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     for split_steps in (simulate.SPLIT_STEPS, 0):
         monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
         for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
