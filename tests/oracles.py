@@ -327,6 +327,19 @@ def lfilter_stationary_arma_noise(params, cfg) -> np.ndarray:
     return out
 
 
+def direct_ljung_box(innovations, lags: int = 20) -> np.ndarray:
+    """Ljung-Box Q per row, one full (m, n - j) product array per lag: the
+    formula the library used before it worked through row blocks."""
+    v = np.atleast_2d(np.asarray(innovations, dtype=float))
+    n = v.shape[1]
+    den = np.sum(v * v, axis=1)
+    q = np.zeros(v.shape[0])
+    for j in range(1, lags + 1):
+        r = np.sum(v[:, :-j] * v[:, j:], axis=1) / den
+        q += r * r / (n - j)
+    return n * (n + 2.0) * q
+
+
 def _sdf(lam: float, kappa: float, x: float) -> float:
     return (x * x + (kappa + lam) ** 2) / (2.0 * math.pi * (x * x + kappa * kappa))
 

@@ -27,6 +27,7 @@ from oucap import (
 )
 
 from oracles import (
+    direct_ljung_box,
     joseph_filter_coefficients,
     lfilter_ou_state,
     lfilter_stationary_arma_noise,
@@ -552,3 +553,53 @@ def test_ljung_box_rejects_correlated_series():
     assert np.all(q_corr > thresh)
     with pytest.raises(ValueError):
         ljung_box(white, lags=0)
+
+
+def test_ljung_box_rejects_zero_rows_and_non_integer_lags():
+    v = np.random.default_rng(6).standard_normal((4, 300))
+    v[2] = 0.0
+    with pytest.raises(ValueError, match="row 2"):
+        ljung_box(v, lags=5)
+    for lags in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            ljung_box(v[:2], lags=lags)
+    assert ljung_box(v[:2], lags=np.int64(5)).shape == (2,)
+    with pytest.raises(ValueError, match="2-D"):
+        ljung_box(np.ones((2, 2, 300)), lags=5)
+
+
+def _series(m, n, seed=0):
+    """Rows of unequal scale, so each row's sums are its own."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0, (m, 1))
+
+
+@pytest.mark.parametrize("m, n, lags, rows", [
+    (1, 1000, 20, None),       # one row
+    (7, 500, 1, 3),            # m not a multiple of the block's rows, lag 1
+    (5, 400, 399, 2),          # lag n - 1
+    (40, 5000, 20, None),      # n below the block: 26 rows a block
+    (3, simulate._LJUNG_BOX_BLOCK + 1000, 4, None),  # n above it: 1 row
+])
+def test_ljung_box_bit_identical_to_direct_oracle(monkeypatch, m, n, lags, rows):
+    v = _series(m, n)
+    if rows is not None:
+        monkeypatch.setattr(simulate, "_LJUNG_BOX_BLOCK", rows * n)
+    assert np.array_equal(ljung_box(v, lags), direct_ljung_box(v, lags))
+    # one series as a 1-D array is the one-row case
+    assert np.array_equal(ljung_box(v[0], lags), direct_ljung_box(v[:1], lags))
+
+
+def test_ljung_box_works_in_one_block_of_scratch():
+    m, n = 16, 50_000
+    v = _series(m, n, seed=1)
+    ljung_box(v)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        ljung_box(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block of scratch and a few (m,)-sized arrays, far below the
+    # 6.4 MB of a single (m, n - 1) product array
+    assert peak < simulate._LJUNG_BOX_BLOCK * 8 + 64 * m * 8 + 16_384
