@@ -22,14 +22,18 @@ message index (``_draw_trial``).  Aggregation is in trial order with a fixed
 batch size, so results are bit-identical regardless of batching or thread
 count.
 
-The filter loop runs in the numpy kernel (oucap.backends), one batch at a
-time on the calling thread.  It carries the estimation error rather than the
+The filter runs in the numpy kernel (oucap.backends), one batch at a time
+on the calling thread.  It carries the estimation error rather than the
 estimate, so the squared error keeps its relative precision however small
-the MMSE gets, and it consumes each batch's noise draws.  One batch of draws
-is alive at a time: its trials are drawn straight into the batch's buffers,
-split over the usable CPUs when trials are long (SPLIT_STEPS).  The
-stationary noise sampler draws through the same batch path, all its trials
-as one batch, and ljung_box works through its rows in cache-sized blocks.
+the MMSE gets.  The recursion is linear with coefficients shared by every
+trial, so the kernel applies each block of steps to the whole batch as one
+matrix, in BLAS products that round each trial alike whatever its batch and
+however many threads BLAS runs; it only reads the batch's noise draws.  One
+batch of draws is alive at a time: its trials are drawn straight into the
+batch's buffers, split over the usable CPUs when trials are long
+(SPLIT_STEPS).  The stationary noise sampler draws through the same batch
+path, all its trials as one batch, and ljung_box works through its rows in
+cache-sized blocks.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -71,6 +75,15 @@ SPLIT_STEPS = 2048
 _LJUNG_BOX_BLOCK = 1 << 17
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (a Python or
+    numpy integer, not a float or a string)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation grid and sampling plan.
@@ -86,6 +99,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
+        for name in ("steps", "trials", "master_seed"):
+            _integer(name, getattr(self, name))
         if self.steps < 100:
             raise ValueError("steps must be at least 100")
         if self.trials < 1:
@@ -458,7 +473,7 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     filter's terminal estimate.  The per-trial message index is drawn after
     the standard noise block (one extra integer draw per trial).
     """
-    m_size = int(grid_size)
+    m_size = _integer("grid_size", grid_size)
     if m_size < 1:
         raise ValueError("grid_size must be at least 1")
     if m_size == 1:
@@ -491,10 +506,7 @@ def ljung_box(innovations: np.ndarray, lags: int = 20) -> np.ndarray:
     if v.ndim != 2:
         raise ValueError("innovations must be one series or a 2-D array of rows")
     m, n = v.shape
-    try:
-        lags = operator.index(lags)
-    except TypeError:
-        raise ValueError(f"lags must be an integer, got {lags!r}") from None
+    lags = _integer("lags", lags)
     if lags < 1 or lags >= n:
         raise ValueError("lags must satisfy 1 <= lags < series length")
     rows = max(1, _LJUNG_BOX_BLOCK // n)

@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -56,6 +59,14 @@ def test_config_validation():
         SimConfig(horizon=1.0, steps=200, trials=0, master_seed=0)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, steps=200, trials=1, master_seed=-3)
+    # counts and seeds are integers: a float or a string is refused here,
+    # not later as a misleading trajectory error or a bare TypeError
+    for bad in ({"steps": 200.5}, {"steps": 200.0}, {"trials": 3.5}, {"trials": "3"},
+                {"master_seed": 1.5}, {"master_seed": None}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(**{"horizon": 2.0, "steps": 200, "trials": 3, "master_seed": 1, **bad})
+    assert SimConfig(horizon=2.0, steps=np.int64(200), trials=np.int32(3),
+                     master_seed=np.uint64(1)).delta == 0.01
 
 
 def test_noise_path_white_case_is_pure_brownian():
@@ -272,9 +283,36 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
 
     monkeypatch.setattr(kern, "filter_batch", spy)
     a = run_sk_scheme(P_STD, cfg, traj_std)
-    # the kernel holds the GIL, so every batch runs on the calling thread
+    # the batches are filtered one after another on the calling thread
     assert callers == {threading.get_ident()}
     assert np.array_equal(one.mmse_emp, a.mmse_emp)
+
+
+def test_run_sk_bits_do_not_depend_on_blas_threads():
+    # the filter's matrix products run in BLAS: a seeded run gives the same
+    # bytes on one BLAS thread as on BLAS's default thread count
+    body = """
+import hashlib
+from oucap import ChannelParams, SimConfig, abel_for_channel, integrate_abel, run_sk_scheme
+params = ChannelParams(-0.5, 1.0, 2.0)
+cfg = SimConfig(horizon=5.0, steps=3000, trials=600, master_seed=89)
+traj = integrate_abel(abel_for_channel(params), horizon=5.0, step=0.005)
+rep = run_sk_scheme(params, cfg, traj, return_innovations=True)
+print(hashlib.sha256(rep.mmse_emp.tobytes() + rep.innovations.tobytes()).hexdigest())
+"""
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
@@ -467,6 +505,11 @@ def test_decode_trivial_and_two_messages(traj_std):
     assert err < 1e-3
     with pytest.raises(ValueError):
         decode_message(params, cfg, traj, grid_size=0)
+    # a grid size is an integer: 2.5 is refused, not truncated to 2
+    for bad in (2.5, 2.0, "8", None):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            decode_message(params, cfg, traj, grid_size=bad)
+    assert decode_message(params, cfg, traj, grid_size=np.int64(2)) == err
 
 
 def test_decode_error_rate_decreases_with_horizon():
