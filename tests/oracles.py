@@ -143,6 +143,45 @@ def exact_resolvent_pair(horizon: float, n: int):
     return grid, h, l
 
 
+def sample_kernel_by_columns(kernel: SeparableKernel, horizon: float, n: int):
+    """(grid, values) of l(s,u) = l_u(u)/l_d(s) on [0, horizon], one column
+    at a time: the sampler the library used before its broadcast division."""
+    grid = np.linspace(0.0, horizon, n)
+    vals = np.zeros((n, n))
+    for j in range(n):
+        vals[j:, j] = kernel.l_u(grid[j]) / kernel.l_d(grid[j:])
+    return grid, vals
+
+
+def recover_h_by_rows(grid, L) -> np.ndarray:
+    """h from l by trapezoid forward substitution, one row at a time: the
+    diagonal is h(u,u) = -l(u,u), and each later row solves a scalar
+    equation in h(t_i, t_j) given rows j..i-1."""
+    n = L.shape[0]
+    dt = float(grid[1] - grid[0])
+    F = np.zeros_like(L)
+    diag_F = -np.diag(L)
+    F[np.arange(n), np.arange(n)] = diag_F
+    for i in range(1, n):
+        # d[j] = sum_{v=j..i-1} L[i,v] F[v,j]; F vanishes above its diagonal
+        d = L[i, :i] @ F[:i, :i]
+        j = slice(0, i)
+        F[i, j] = -(L[i, j] + dt * (d - 0.5 * L[i, j] * diag_F[j])) \
+            / (1.0 + 0.5 * dt * L[i, i])
+    return F
+
+
+def resolvent_residual_full(grid, H, L) -> float:
+    """max over s >= u of |h + l + h*l| by one full-matrix product H @ L
+    with the trapezoid's end points taken off afterwards."""
+    dt = float(grid[1] - grid[0])
+    # H is zero above and L zero below their index bounds, so (H @ L)[i, j]
+    # is exactly sum_{v=j..i} H[i,v] L[v,j]; trapezoid halves the endpoints.
+    inner = H @ L - 0.5 * (H * np.diag(L)[None, :] + np.diag(H)[:, None] * L)
+    resid = H + L + dt * inner
+    return float(np.max(np.abs(np.tril(resid))))
+
+
 def critical_cubic_root(power: float) -> float:
     """Positive root of P(x+1)^2 = 2x^3 (critical coloring, kappa=1) by bisection."""
 

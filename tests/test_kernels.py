@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oucap import (
     ChannelParams,
@@ -14,7 +16,13 @@ from oucap import (
     sample_kernel,
 )
 
-from oracles import exact_resolvent_pair, scaled_kernel
+from oracles import (
+    exact_resolvent_pair,
+    recover_h_by_rows,
+    resolvent_residual_full,
+    sample_kernel_by_columns,
+    scaled_kernel,
+)
 
 
 def grid_kernel_from_arrays(grid, values):
@@ -105,6 +113,30 @@ def test_grid_kernel_validation():
         GridKernel(grid=grid[:4], values=good)
     with pytest.raises(ValueError):
         GridKernel(grid=np.array([0.0, 0.1, 0.3, 0.6, 1.0]), values=good)
+    with pytest.raises(ValueError):
+        GridKernel(grid=grid[::-1], values=good)  # uniform but decreasing
+    with pytest.raises(ValueError):
+        GridKernel(grid=np.array([0.0, np.inf]), values=np.tril(np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -4.0])
+def test_sample_kernel_rejects_a_grid_that_does_not_increase(horizon):
+    # on such a grid the round trip means nothing: a zero step makes the
+    # residual 0.0, and horizon -4 makes it about 1e4
+    kernel = ou_resolvent_kernel(ChannelParams(-0.5, 1.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_kernel(kernel, horizon=horizon, n=50)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_kernel_rejects_non_finite_values(bad):
+    grid = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="finite"):
+        GridKernel(grid=grid, values=np.tril(np.full((5, 5), bad)))
+    one = np.tril(np.ones((5, 5)))
+    one[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridKernel(grid=grid, values=one)
 
 
 def test_residual_requires_matching_grids():
@@ -136,3 +168,102 @@ def test_kernel_row_decay_is_bounded():
         assert np.all(np.isfinite(far))
         for t in (0.0, 1.0, 10.0):
             assert kernel(t, t) == pytest.approx(kernel.lu_over_ld(t), rel=1e-12)
+
+
+# Grid sizes around the 64-row panels of recover_h_from_l and
+# resolvent_residual, and the sizes the acceptance test and benchmark use.
+ORACLE_SIZES = [2, 3, 63, 64, 65, 128, 129, 400, 799]
+# kappa = 1: colored on both sides of the critical point, critical
+# (lam = -kappa), lam > 0, and the boundaries lam = 0 and lam = -2 kappa,
+# where l vanishes identically
+ORACLE_LAMBDAS = [-0.5, -1.5, -1.0, 1.0, 0.0, -2.0]
+
+
+def _ou_grid(lam, n):
+    return sample_kernel(ou_resolvent_kernel(ChannelParams(lam, 1.0, 1.0)), 4.0, n)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
+def test_sample_kernel_matches_the_column_sampler_bit_for_bit(lam, n):
+    kernel = ou_resolvent_kernel(ChannelParams(lam, 1.0, 1.0))
+    grid, values = sample_kernel_by_columns(kernel, 4.0, n)
+    sampled = sample_kernel(kernel, 4.0, n)
+    assert np.array_equal(sampled.grid, grid)
+    assert np.array_equal(sampled.values, values)
+
+
+def _random_lower(n, seed, scale=1.0):
+    """A seeded lower-triangular matrix, entries uniform in [-scale, scale]."""
+    return np.tril(np.random.default_rng(seed).uniform(-scale, scale, (n, n)))
+
+
+def _l_case(case, n):
+    """(grid, values of l): the exact pair's l, a seeded lower-triangular
+    kernel with no structure on [0, 1], or the channel's l at lam."""
+    if case == "exact":
+        grid, _h, l = exact_resolvent_pair(4.0, n)
+        return grid, l
+    if case == "random":
+        return np.linspace(0.0, 1.0, n), _random_lower(n, seed=n)
+    l = _ou_grid(case, n)
+    return l.grid, l.values
+
+
+ORACLE_CASES = ["exact", "random"] + ORACLE_LAMBDAS
+# the exact pair at n = 3 has dt = 2 and 1 + dt/2 l(u,u) = 0: a singular
+# trapezoid system, checked on its own below
+RECOVER_CASES = [(case, n) for case in ORACLE_CASES for n in ORACLE_SIZES
+                 if (case, n) != ("exact", 3)]
+
+
+def _assert_recovers_like_the_rows(grid, values):
+    expect = recover_h_by_rows(grid, values)
+    got = recover_h_from_l(GridKernel(grid=grid, values=values))
+    assert np.max(np.abs(got.values - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("case,n", RECOVER_CASES)
+def test_recover_h_matches_row_by_row_substitution(case, n):
+    _assert_recovers_like_the_rows(*_l_case(case, n))
+
+
+def test_recover_h_stays_lower_triangular_when_the_block_inverse_pivots():
+    # dt max|l| up to 3: the inverse of the diagonal block swaps rows, which
+    # leaves rounding noise above its diagonal unless it is cut away
+    _assert_recovers_like_the_rows(np.linspace(0.0, 1.0, 5), _random_lower(5, seed=7, scale=12.0))
+
+
+def test_recover_h_rejects_a_singular_trapezoid_system():
+    grid, _h, l = exact_resolvent_pair(4.0, 3)
+    with pytest.raises(ValueError, match="singular"):
+        recover_h_from_l(GridKernel(grid=grid, values=l))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_residual_matches_the_full_product(case, n):
+    # h is exact for the exact pair, an unrelated seeded matrix for the
+    # random case (so the diagonal residual is not zero), and the
+    # row-by-row solution otherwise
+    grid, l = _l_case(case, n)
+    if case == "exact":
+        h = exact_resolvent_pair(4.0, n)[1]
+    elif case == "random":
+        h = _random_lower(n, seed=n + 1000)
+    else:
+        h = recover_h_by_rows(grid, l)
+    expect = resolvent_residual_full(grid, h, l)
+    got = resolvent_residual(GridKernel(grid=grid, values=h), GridKernel(grid=grid, values=l))
+    assert abs(got - expect) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-2.0, max_value=1.0), st.floats(min_value=0.5, max_value=1.5),
+       st.integers(min_value=400, max_value=799))
+def test_round_trip_residual_in_the_criterion_7_domain(ratio, kappa, n):
+    # horizon 4 with lam = ratio * kappa, from the boundary lam = -2 kappa to
+    # lam = kappa; the largest residual, at (ratio, kappa, n) = (1, 1.5, 400),
+    # is about 7.8e-5
+    l = sample_kernel(ou_resolvent_kernel(ChannelParams(ratio * kappa, kappa, 1.0)), 4.0, n)
+    assert resolvent_residual(recover_h_from_l(l), l) < 1e-4
