@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-NAME = "numpy"
-
 # Steps per block.  Building the matrices of a chunk of blocks costs a few
 # numpy calls per step of a block, and applying one costs two calls; 20
 # steps (23 rows with innovations, padded to 24) ran faster than 13, 16,

@@ -40,9 +40,8 @@ class AbelCoefficients:
     """Time-dependent coefficients p(t), q(t) with their limits and the
     power budget P.
 
-    p and q must accept numpy arrays or scalars.  The integrator calls them
-    with Python floats, about a thousand times per trajectory, so callables
-    that answer a float with a float (math, not 0-d arrays) keep it fast.
+    p and q map a float t to a float.  The integrator calls them about a
+    thousand times per trajectory, so math, not numpy, keeps it fast.
     """
 
     p: Callable
@@ -60,15 +59,12 @@ def abel_from_kernel(kernel: SeparableKernel, power: float) -> AbelCoefficients:
     """Coefficients p = -l_d'/l_d, q = (l_u + l_d')/l_d for a separable
     kernel, using its overflow-safe ratio callables.
 
-    Limits: p_limit = -beta, q_limit = alpha + beta.  A Python float stays
-    a float through both coefficients; anything else becomes a float array.
+    Limits: p_limit = -beta, q_limit = alpha + beta.  Like the kernel's
+    ratio callables, p and q take and return one float.
     """
-    def real(v):
-        return v if isinstance(v, float) else np.asarray(v, dtype=float)
-
     return AbelCoefficients(
-        p=lambda t: -real(kernel.ld_prime_over_ld(t)),
-        q=lambda t: real(kernel.lu_over_ld(t)) + real(kernel.ld_prime_over_ld(t)),
+        p=lambda t: -kernel.ld_prime_over_ld(t),
+        q=lambda t: kernel.lu_over_ld(t) + kernel.ld_prime_over_ld(t),
         p_limit=-kernel.beta,
         q_limit=kernel.alpha + kernel.beta,
         power=power)
@@ -103,11 +99,6 @@ class OdeTrajectory:
         return float(self.times[-1])
 
 
-def _cubic_coefficients(coeffs: AbelCoefficients):
-    return (-coeffs.power, coeffs.power / SQRT2,
-            coeffs.p_limit, coeffs.q_limit / SQRT2)
-
-
 def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
     """Case label and ascending real roots of the limiting cubic
     -P y^3 + (P/sqrt 2) y^2 + p_limit y + q_limit/sqrt 2.
@@ -117,7 +108,8 @@ def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
     returned), near zero -> DoubleRoot (all three real parts returned, the
     repeated pair appearing twice).
     """
-    a, b, c, d = _cubic_coefficients(coeffs)
+    a, b, c, d = (-coeffs.power, coeffs.power / SQRT2,
+                  coeffs.p_limit, coeffs.q_limit / SQRT2)
     if a == 0.0:
         raise ValueError("power must be positive for the limiting cubic")
     disc = (18.0 * a * b * c * d - 4.0 * b ** 3 * d + b * b * c * c

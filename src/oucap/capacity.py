@@ -28,7 +28,8 @@ class ArmaParams:
     """Stationary ARMA(1,1) noise model with per-symbol power budget.
 
     The noise is N_k = phi*N_{k-1} + U_k + theta*U_{k-1} with unit-variance
-    innovations; |phi| < 1 is required for stationarity.
+    innovations; |phi| < 1 is required for stationarity, and |theta| < 1e154
+    for the capacity quartic, which squares theta, to stay finite.
     """
 
     phi: float
@@ -38,6 +39,8 @@ class ArmaParams:
     def __post_init__(self) -> None:
         if not abs(self.phi) < 1.0:
             raise InvalidArma(f"|phi| must be < 1, got phi={self.phi}")
+        if not abs(self.theta) < 1e154:
+            raise InvalidArma(f"|theta| must be < 1e154, got theta={self.theta}")
         if self.power < 0:
             raise InvalidArma(f"power must be nonnegative, got {self.power}")
 
@@ -57,12 +60,6 @@ class DeltaSweep:
             raise ValueError("all rates must be finite")
 
 
-def _cubic_residual(x: float, params: ChannelParams) -> float:
-    c = abs(params.kappa + params.lam)
-    return (params.power * (x + params.kappa) ** 2
-            - 2.0 * x * (x + c) ** 2)
-
-
 def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
     """Feedback capacity in nats per unit time, closed-form route.
 
@@ -73,36 +70,43 @@ def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
     max(kappa, 2P).  The root is at least P/2, where p is already convex and
     increasing, so the iterates fall monotonically onto it; the descent
     stops when rounding ends it, which leaves the value accurate relative to
-    its own size for any P.  The stored residual is the defining polynomial
-    evaluated at the root.
+    its own size for any P.  p is homogeneous of degree 3 in (x, P, kappa,
+    c), so the iterates run exactly scaled by the power of 2 that brings
+    max(P, kappa) into [1/2, 1), where nothing overflows; P/kappa below
+    about 2^-1022 raises ValueError.  The residual is the defining
+    polynomial at the root over its slope, the Newton step it asks for.
     """
     if classify_regime(params) is Regime.WHITE_EQUIVALENT:
         return CapacityResult(value=params.power / 2.0,
                               route=Route.CLOSED_FORM, residual=0.0)
     if params.power == 0.0:
         return CapacityResult(value=0.0, route=Route.CLOSED_FORM, residual=0.0)
-    P, kappa = params.power, params.kappa
-    c = abs(kappa + params.lam)
+    k = math.frexp(max(params.power, params.kappa))[1]
+    P, kappa = math.ldexp(params.power, -k), math.ldexp(params.kappa, -k)
+    if P < 2.0 ** -1022:
+        raise ValueError(f"power {params.power!r} is too small against kappa "
+                         f"{params.kappa!r} for the closed form in double precision")
+    c = math.ldexp(abs(params.kappa + params.lam), -k)
     a2 = 4.0 * c - P
     a1 = 2.0 * c * c - 2.0 * P * kappa
     a0 = -P * kappa * kappa
     # a root x > kappa would give 2x^3 <= P(x+kappa)^2 < 4P x^2, so x <= 2P
     x = max(kappa, 2.0 * P)
     while True:
-        step = (((2.0 * x + a2) * x + a1) * x + a0) / ((6.0 * x + 2.0 * a2) * x + a1)
-        if not x - step < x:
+        slope = (6.0 * x + 2.0 * a2) * x + a1
+        x_new = x - (((2.0 * x + a2) * x + a1) * x + a0) / slope
+        if x_new < 0.5 * x:  # x - p/p' cancels: form it as one quotient
+            x_new = ((4.0 * x + a2) * x * x - a0) / slope
+        if not x_new < x:
             break
-        x -= step
-    return CapacityResult(value=x, route=Route.CLOSED_FORM,
-                          residual=abs(_cubic_residual(x, params)))
+        x = x_new
+    residual = abs(P * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2) / slope
+    return CapacityResult(value=math.ldexp(x, k), route=Route.CLOSED_FORM,
+                          residual=math.ldexp(residual, k))
 
 
 def _sgn(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
+    return float(x > 0.0) - float(x < 0.0)
 
 
 def _quartic_residual(x: float, arma: ArmaParams) -> float:

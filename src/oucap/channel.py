@@ -97,11 +97,11 @@ def noise_sdf(params: ChannelParams, x):
     S_z(x) = (x^2 + (kappa+lam)^2) / (2*pi*(x^2 + kappa^2)).
 
     Accepts scalars or arrays.  S_z is even, bounded, and vanishes only at
-    x = 0 in the special case lam = -kappa.
+    x = 0 in the special case lam = -kappa.  Out of float range it gives
+    inf or nan with a RuntimeWarning, as numpy does.
     """
     x = np.asarray(x, dtype=float)
-    c = params.kappa + params.lam
-    out = (x * x + c * c) / (2.0 * np.pi * (x * x + params.kappa ** 2))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    kappa = np.float64(params.kappa)
+    c = kappa + params.lam
+    out = (x * x + c * c) / (2.0 * np.pi * (x * x + kappa ** 2))
+    return float(out) if out.ndim == 0 else out

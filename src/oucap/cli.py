@@ -12,6 +12,7 @@ When --out is given, data files are written together with a
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,14 @@ SIDE_BY_SIDE = {"simulate": ("csv", "json")}
 NOT_PARAMETERS = frozenset({"command", "format", "out", "seed", "run"})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes `-5e-1` for a value, as argparse already takes `-0.5`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _channel_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda", dest="lam", type=float, required=True,
                      help="coloring weight of the OU noise component")
@@ -59,7 +68,7 @@ def _output_args(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oucap",
         description="Feedback capacity of the OU-colored additive Gaussian "
         "noise channel: closed form, ODE and discrete limits, Monte Carlo, "
@@ -203,7 +212,8 @@ def cmd_spectrum(args, params: ChannelParams):
         rows = []
         for w in bands:
             level, rate = waterfill_bandlimited(params, float(w), params.power)
-            flat_noise = (w / (2.0 * np.pi)) * np.log1p(np.pi * params.power / w)
+            # quartering P and w gives the same bits, and pi P cannot overflow
+            flat_noise = (w / (2.0 * np.pi)) * np.log1p(np.pi * (0.25 * params.power) / (0.25 * w))
             rows.append((float(w), level, rate, float(flat_noise)))
         header = ["band", "level", "rate", "analytic_limit"]
     payloads = {

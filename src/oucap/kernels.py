@@ -32,9 +32,10 @@ PANEL = 64  # rows per panel: BLAS-3 speed, little triangular work outside it
 class SeparableKernel:
     """Kernel l(s,u) = l_u(u) / l_d(s) with its large-time ratio limits.
 
-    alpha = lim l_u(t)/l_d(t), beta = lim l_d'(t)/l_d(t).  The ratio
-    callables evaluate l_u/l_d and l_d'/l_d in overflow-safe form (the raw
-    factors grow exponentially for this family).
+    alpha = lim l_u(t)/l_d(t), beta = lim l_d'(t)/l_d(t).  l_u and l_d take
+    arrays of times.  The ratio callables map a float t to the float
+    l_u(t)/l_d(t) or l_d'(t)/l_d(t), in overflow-safe form (the raw factors
+    grow exponentially for this family).
     """
 
     l_u: Callable
@@ -79,16 +80,6 @@ class GridKernel:
         return float(self.grid[1] - self.grid[0])
 
 
-def _real(t):
-    """A Python number as a float, anything else as a float array."""
-    return float(t) if isinstance(t, (float, int)) else np.asarray(t, dtype=float)
-
-
-def _exp(x):
-    """math.exp on a float, np.exp on an array."""
-    return math.exp(x) if isinstance(x, float) else np.exp(x)
-
-
 def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     """The channel's resolvent kernel in separable form.
 
@@ -103,56 +94,53 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     l_d never vanishes on [0, inf): for kappa+lam != 0, l_d(0) =
     -4 kappa (kappa+lam) and l_d' has the same sign, so l_d only moves away
     from zero.  In floats it can: once kappa falls below about 5e-17 |lam|,
-    the ratios' denominator rounds to zero at t = 0, and a float argument
-    raises ZeroDivisionError there (integrate_abel reports StepSizeUnderflow).
+    the ratios' denominator rounds to zero at t = 0, and they raise
+    ZeroDivisionError there (integrate_abel reports StepSizeUnderflow).
     alpha and beta follow the large-time limits of l_u/l_d and l_d'/l_d.
 
     The ratio callables are algebraically normalized so they stay finite
     for arbitrarily large t (the raw factors overflow near t ~ 700/|k+l|).
-    They answer a Python float with a float computed by math, which is what
-    the ODE integrator calls them with, and an array with an array.
+    They take and return one float, computed with math: the ODE integrator
+    calls them about a thousand times per trajectory.  l_u and l_d take
+    arrays, for sample_kernel's grids.
     """
     lam, kap = params.lam, params.kappa
     a = kap + lam
     if a == 0.0:
         l_u = lambda u: kap * (kap * np.asarray(u, dtype=float) + 1.0)
         l_d = lambda s: kap * np.asarray(s, dtype=float) + 2.0
-        kernel = SeparableKernel(
+        return SeparableKernel(
             l_u=l_u, l_d=l_d, alpha=kap, beta=0.0,
-            lu_over_ld=lambda t: kap * (kap * _real(t) + 1.0) / (kap * _real(t) + 2.0),
-            ld_prime_over_ld=lambda t: kap / (kap * _real(t) + 2.0))
-    else:
-        b = 2.0 * kap + lam
+            lu_over_ld=lambda t: kap * (kap * t + 1.0) / (kap * t + 2.0),
+            ld_prime_over_ld=lambda t: kap / (kap * t + 2.0))
+    b = 2.0 * kap + lam
 
-        def l_u(u):
-            u = np.asarray(u, dtype=float)
-            return lam * b * b * np.exp(a * u) + lam * lam * b * np.exp(-a * u)
+    def l_u(u):
+        u = np.asarray(u, dtype=float)
+        return lam * b * b * np.exp(a * u) + lam * lam * b * np.exp(-a * u)
 
-        def l_d(s):
-            s = np.asarray(s, dtype=float)
-            return lam * lam * np.exp(-a * s) - b * b * np.exp(a * s)
+    def l_d(s):
+        s = np.asarray(s, dtype=float)
+        return lam * lam * np.exp(-a * s) - b * b * np.exp(a * s)
 
-        # The mirror lam -> -2 kappa - lam sends (lam, b) to (-b, -lam) and
-        # flips the signs of l_u, l_d and kappa + lam, leaving the kernel as
-        # it is; so kappa + lam < 0 takes the kappa + lam > 0 form at
-        # (m, n) = (-b, -lam).  That form divides through by n^2 e^{ct}, c =
-        # |kappa + lam|, and its w -> 0.
-        c = abs(a)
-        m, n = (lam, b) if a > 0.0 else (-b, -lam)
-        alpha, beta = -m, c
+    # The mirror lam -> -2 kappa - lam sends (lam, b) to (-b, -lam) and
+    # flips the signs of l_u, l_d and kappa + lam, leaving the kernel as
+    # it is; so kappa + lam < 0 takes the kappa + lam > 0 form at
+    # (m, n) = (-b, -lam).  That form divides through by n^2 e^{ct}, c =
+    # |kappa + lam|, and its w -> 0.
+    c = abs(a)
+    m, n = (lam, b) if a > 0.0 else (-b, -lam)
 
-        def lu_over_ld(t):
-            e = _exp(-2.0 * c * _real(t))
-            return (m + (m * m / n) * e) / ((m * m / (n * n)) * e - 1.0)
+    def lu_over_ld(t):
+        e = math.exp(-2.0 * c * t)
+        return (m + (m * m / n) * e) / ((m * m / (n * n)) * e - 1.0)
 
-        def ld_prime_over_ld(t):
-            w = (m * m / (n * n)) * _exp(-2.0 * c * _real(t))
-            return -c * (w + 1.0) / (w - 1.0)
+    def ld_prime_over_ld(t):
+        w = (m * m / (n * n)) * math.exp(-2.0 * c * t)
+        return -c * (w + 1.0) / (w - 1.0)
 
-        kernel = SeparableKernel(l_u=l_u, l_d=l_d, alpha=alpha, beta=beta,
-                                 lu_over_ld=lu_over_ld,
-                                 ld_prime_over_ld=ld_prime_over_ld)
-    return kernel
+    return SeparableKernel(l_u=l_u, l_d=l_d, alpha=-m, beta=c,
+                           lu_over_ld=lu_over_ld, ld_prime_over_ld=ld_prime_over_ld)
 
 
 def sample_kernel(kernel: SeparableKernel, horizon: float, n: int) -> GridKernel:

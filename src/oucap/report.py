@@ -105,7 +105,6 @@ def simulate_payload(params, cfg, report) -> dict:
             "trials": cfg.trials,
             "master_seed": cfg.master_seed,
         },
-        "backend": report.backend,
         "empirical_rate": report.empirical_rate,
         "max_mmse_z": _jsonable(max_mmse_z(report)),
         "mmse_curve": [
@@ -140,7 +139,7 @@ def simulate_text(cfg, report) -> str:
     """The run and its rate; the CLI prints the max MMSE z-score above it."""
     lines = [
         f"simulated {cfg.trials} trials, horizon {cfg.horizon}, steps {cfg.steps}, "
-        f"seed {cfg.master_seed}, backend {report.backend}",
+        f"seed {cfg.master_seed}",
         f"empirical rate {report.empirical_rate:.9g}",
     ]
     return "\n".join(lines) + "\n"

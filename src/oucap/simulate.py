@@ -22,8 +22,9 @@ message index (``_draw_trial``).  Aggregation is in trial order with a fixed
 batch size, so results are bit-identical regardless of batching or thread
 count.
 
-The filter runs in the numpy kernel (oucap.backends), one batch at a time
-on the calling thread.  It carries the estimation error rather than the
+The filter runs in the numpy kernel oucap._sk_numpy, looked up through
+oucap.backends.get_backend() at each call, one batch at a time on the
+calling thread.  It carries the estimation error rather than the
 estimate, so the squared error keeps its relative precision however small
 the MMSE gets.  The recursion is linear with coefficients shared by every
 trial, so the kernel applies each block of steps to the whole batch as one
@@ -134,7 +135,6 @@ class SimReport:
     mmse_filter: np.ndarray
     empirical_rate: float
     master_seed: int
-    backend: str
     innovations: np.ndarray | None = None
 
     @property
@@ -395,8 +395,8 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     of the message index 1..grid.size it draws after its noise block.  The
     batches run one after another on the calling thread, each drawn, from
     SPLIT_STEPS steps on, by one thread per usable CPU, so one batch of
-    draws is alive at a time.  Returns (kernel name, scheme, per-trial rows
-    of the squared error at out_idx, terminal estimates, message indices);
+    draws is alive at a time.  Returns (scheme, per-trial rows of the
+    squared error at out_idx, terminal estimates, message indices);
     per-trial rows make results independent of batching and threads.
     innov_rows, if given, receives the standardized innovations.
     """
@@ -421,7 +421,7 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
                           out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
         # free this batch's draws before the next batch is drawn
         del th0, zeta0, xi1, xi2
-    return kern.NAME, scheme, sq_rows, mtheta, sent
+    return scheme, sq_rows, mtheta, sent
 
 
 def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
@@ -431,13 +431,13 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     `traj` must come from the gain ODE for the same parameters with horizon
     at least cfg.horizon.  Results are bit-identical for a fixed
     (master_seed, cfg) however the trials are batched and however many
-    threads draw them; SimReport.backend names the kernel that ran.
+    threads draw them.
     """
     n = cfg.steps
     out_idx = np.unique(np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64))
     innov_rows = np.empty((cfg.trials, n)) if return_innovations else None
-    backend, scheme, sq_rows, _, _ = _run_trials(params, cfg, traj, out_idx,
-                                                 innov_rows=innov_rows)
+    scheme, sq_rows, _, _ = _run_trials(params, cfg, traj, out_idx,
+                                        innov_rows=innov_rows)
 
     trials = cfg.trials
     mean = sq_rows.sum(axis=0) / trials
@@ -459,7 +459,6 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
         mmse_filter=scheme.var_theta[out_idx],
         empirical_rate=float((scheme.log_amp[n] - 0.5 * log_p) / cfg.horizon),
         master_seed=cfg.master_seed,
-        backend=backend,
         innovations=innov_rows,
     )
 
@@ -481,7 +480,7 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
     out_idx = np.array([cfg.steps], dtype=np.int64)
-    _, _, _, mtheta, sent = _run_trials(params, cfg, traj, out_idx, grid=grid)
+    _, _, mtheta, sent = _run_trials(params, cfg, traj, out_idx, grid=grid)
 
     # grid[hi - 1] and grid[hi] bracket the estimate (the end pair outside
     # the grid); the nearer one wins and a tie goes to the lower message

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import ChannelParams, noise_sdf
 from .roots import bracketed_root
 
@@ -34,9 +36,7 @@ class InputSpectrum:
     def __init__(self, bands) -> None:
         norm = []
         for (lo, hi), density in bands:
-            lo = float(lo)
-            hi = float(hi)
-            density = float(density)
+            lo, hi, density = float(lo), float(hi), float(density)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid interval ({lo}, {hi})")
             if not (math.isfinite(density) and density >= 0.0):
@@ -67,8 +67,8 @@ def _log_ratio_antiderivative(x: float, p: float, q: float, c: float) -> float:
     terms of the two logs cancel.  The log is taken as
     log1p((p x^2 + q)/(x^2 + c^2)), so that a ratio close to 1 (a band far
     out, or a faint input) keeps its digits.  An atan term whose constant is
-    0 is dropped, and so is x log(...) at x = 0, where it tends to 0 even if
-    c = 0.
+    (or underflows to) 0 is dropped, and so is x log(...) at x = 0, where it
+    tends to 0 even if c = 0.
     """
     if x == 0.0:
         return 0.0
@@ -77,7 +77,8 @@ def _log_ratio_antiderivative(x: float, p: float, q: float, c: float) -> float:
     b = c * c + q
     if b > 0.0:
         root = math.sqrt(b / (1.0 + p))
-        value += 2.0 * root * math.atan(x / root)
+        if root > 0.0:
+            value += 2.0 * root * math.atan(x / root)
     if c > 0.0:
         value -= 2.0 * c * math.atan(x / c)
     return value
@@ -110,7 +111,7 @@ def flat_input_limit_sweep(params: ChannelParams, n_values, k_values) -> list[tu
 
     Each row is (n, k, rate, analytic_limit) with analytic_limit the k -> inf
     value (n/4pi) log(1 + 2 pi P / n); rates carry total power params.power
-    split as density P/n over the two bands.
+    split as density P/n over the two bands.  Overflow raises ValueError.
     """
     rows = []
     power = params.power
@@ -124,7 +125,10 @@ def flat_input_limit_sweep(params: ChannelParams, n_values, k_values) -> list[tu
             if k < 0:
                 raise ValueError("offsets must be nonnegative")
             spec = InputSpectrum.two_sided_flat(k, n, power / n)
-            rows.append((n, k, pinsker_rate(spec, params), analytic))
+            rate = pinsker_rate(spec, params)
+            if not (math.isfinite(rate) and math.isfinite(analytic)):
+                raise ValueError(f"the flat sweep overflows at n={n}, k={k}, P={power!r}")
+            rows.append((n, k, rate, analytic))
     return rows
 
 
@@ -147,7 +151,7 @@ def _wet_boundary(params: ChannelParams, level: float, band: float,
     kappa = params.kappa
     c = abs(params.lam + kappa)
     if c == kappa:
-        return (0.0, band) if level >= s0 else (0.0, 0.0)
+        return (0.0, band) if level > s0 else (0.0, 0.0)
     denom = 1.0 - TWO_PI * level
     if c < kappa:
         if level <= s0:
@@ -182,14 +186,18 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
     Finds the level A with integral of (A - S_z)+ over [-W, W] equal to
     `power` (monotone in A, so the root is bracketed between the band minimum
     of S_z and min + power/(2W) + max), then evaluates the rate
-    (1/4pi) integral of log(max(A/S_z, 1)).
+    (1/4pi) integral of log(max(A/S_z, 1)).  ValueError if S_z or the rate
+    leaves the float range, or if the rate exceeds twice its bound
+    P/(4 pi min S_z): the power is then too small to lift A off the floor.
     """
     if not (math.isfinite(band) and band > 0):
         raise ValueError("band must be positive and finite")
     if not (math.isfinite(power) and power >= 0):
         raise ValueError("power must be nonnegative and finite")
-    s0 = noise_sdf(params, 0.0)
-    s_edge = noise_sdf(params, band)
+    with np.errstate(all="ignore"):  # a value out of float range is refused below
+        s0, s_edge = noise_sdf(params, 0.0), noise_sdf(params, band)
+    if not (math.isfinite(s0) and 0.0 < s_edge < math.inf):  # S_z(W) > 0 in exact terms
+        raise ValueError(f"the noise density leaves the float range on the band {band!r}")
     s_min, s_max = min(s0, s_edge), max(s0, s_edge)
     if power == 0.0:
         return s_min, 0.0
@@ -207,8 +215,12 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
     q = (kappa - c) * (kappa + c)
     rate = (math.log(TWO_PI * level) * (b - a)
             + _log_ratio_antiderivative(b, 0.0, q, c)
-            - _log_ratio_antiderivative(a, 0.0, q, c))
-    return level, rate / TWO_PI
+            - _log_ratio_antiderivative(a, 0.0, q, c)) / TWO_PI
+    if not math.isfinite(rate):
+        raise ValueError(f"the water-filling rate overflows on band {band!r}")
+    if s_min > 0.0 and rate > power / (TWO_PI * s_min):
+        raise ValueError(f"power {power!r} is too small to resolve the level above {s_min!r}")
+    return level, rate
 
 
 def p_max(params: ChannelParams) -> float:

@@ -9,7 +9,9 @@ explicit closed forms, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import dblquad, quad, solve_ivp
@@ -75,6 +77,32 @@ def capacity_cubic_bisection_exhaustive(lam: float, kappa: float, power: float) 
             lo = mid
         else:
             hi = mid
+
+
+def capacity_cubic_exact(lam: float, kappa: float, power: float) -> float:
+    """Positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2 to the nearest
+    float, for any finite inputs: bisection over the ordered bit patterns
+    of the positive floats, with the cubic's sign evaluated exactly in
+    rationals, so nothing can overflow or round."""
+    P, K = Fraction(power), Fraction(kappa)
+    C = abs(K + Fraction(lam))
+
+    def f(x: float) -> Fraction:   # positive below the root, negative above
+        X = Fraction(x)
+        return P * (X + K) ** 2 - 2 * X * (X + C) ** 2
+
+    def as_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(as_float(mid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    a, b = as_float(lo), as_float(hi)
+    return a if abs(f(a)) <= abs(f(b)) else b
 
 
 def arma_quartic_bisection(phi: float, theta: float, power: float) -> float:

@@ -24,6 +24,7 @@ from oracles import (
     arma_quartic_bisection,
     capacity_cubic_bisection,
     capacity_cubic_bisection_exhaustive,
+    capacity_cubic_exact,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -69,6 +70,43 @@ def test_cubic_residual_below_tolerance():
         c = abs(kappa + lam)
         residual = power * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2
         assert abs(residual) < 1e-10
+
+
+@pytest.mark.parametrize("triple", [
+    (-0.5, 1.0, 1e6), (-0.5, 1.0, 1e103), (-0.5, 1.0, 1e200), (-0.5, 1.0, 1e308),
+    (-1.0, 1.0, 1e308), (-1.5, 1.0, 8e307),
+    # kappa at either extreme
+    (-1e308, 1e308, 1e308), (-0.5e308, 1e308, 1e300), (-1e-300, 1e-300, 1e-300),
+    (-0.5e-300, 1e-300, 2.0), (-1e-300, 1e-300, 1e308),
+    # power far below kappa, where a Newton step from the upper bound cancels
+    (-0.5, 1.0, 1e-20), (-0.5, 1.0, 1e-100), (-1.0, 1.0, 1e-300), (-0.5, 1e300, 1e-5),
+])
+def test_closed_form_at_extreme_scales_matches_the_exact_root(triple):
+    # the cubic is homogeneous of degree 3, so the solve runs on scaled
+    # inputs; at the parent its Horner sum overflowed from P ~ 1e103 on
+    result = feedback_capacity_closed_form(ChannelParams(*triple))
+    assert result.value == pytest.approx(capacity_cubic_exact(*triple), rel=1e-15, abs=0.0)
+    assert 0.0 <= result.residual <= 1e-15 * result.value
+
+
+def test_closed_form_high_power_gain_tends_to_twice_the_rate_gap():
+    # C - P/2 -> 2(kappa - |kappa + lam|) = 1 at (-0.5, 1)
+    gain = feedback_capacity_closed_form(ChannelParams(-0.5, 1.0, 1e6)).value - 5e5
+    assert gain == pytest.approx(0.9999975, abs=1e-6)
+
+
+@pytest.mark.parametrize("triple", [(-1e308, 1e308, 2.0), (-0.5, 1e20, 1e-300)])
+def test_closed_form_refuses_a_power_below_the_float_range_of_kappa(triple):
+    with pytest.raises(ValueError, match="too small against kappa"):
+        feedback_capacity_closed_form(ChannelParams(*triple))
+
+
+def test_arma_rejects_a_theta_whose_square_overflows():
+    with pytest.raises(InvalidArma, match="theta"):
+        ArmaParams(phi=-0.5, theta=1e200, power=1.0)
+    # lam = 1e308 samples to theta ~ 1e307 at delta = 0.1
+    with pytest.raises(InvalidArma, match="theta"):
+        discrete_limit_capacity(ChannelParams(1e308, 1.0, 2.0), DEFAULT_SWEEP_DELTAS)
 
 
 colored = st.tuples(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -110,6 +111,64 @@ def test_failures_reach_the_user_as_errors_not_tracebacks(argv, code):
     assert proc.returncode == code
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["--lambda", "-5e-1"], ["--lambda=-0.5"]),
+    (["--lambda", "-1e-3"], ["--lambda=-0.001"]),
+    (["--lambda", "-5E-1"], ["--lambda=-.5"]),
+])
+def test_negative_numbers_in_exponent_notation_are_values(capsys, spaced, joined):
+    # argparse took "-5e-1" for an option: "--lambda: expected one argument"
+    rest = ["--kappa", "1", "--power", "2", "--route", "all", "--format", "json"]
+    assert main(["capacity", *spaced, *rest]) == 0
+    out = capsys.readouterr().out
+    assert main(["capacity", *joined, *rest]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("power", ["1e103", "8e307", "1e308"])
+def test_capacity_closed_form_at_high_power(capsys, power):
+    # the closed form's cubic overflowed: -inf, an OverflowError traceback,
+    # and at 1e308 a JSON NaN error under --format text
+    assert main(["capacity", "--lambda=-0.5", "--kappa", "1", "--power", power]) == 0
+    assert f"value={float(power) / 2:.12g}" in capsys.readouterr().out
+
+
+def test_waterfill_at_the_largest_power_matches_the_flat_noise_column(capsys):
+    # white noise: the level is S_z + P/(2W) and the rate the column's
+    # (W/2pi) log1p(pi P/W), whose pi P overflowed to a null column
+    payload = run_json(capsys, ["spectrum", "--lambda", "0", "--kappa", "1",
+                                "--power", "1e308", "--sweep", "waterfill"])
+    check("spectrum", payload)
+    for row in payload["rows"]:
+        assert row["level"] == pytest.approx(1e308 / (2.0 * row["band"]), rel=1e-12)
+        assert row["rate"] == pytest.approx(row["analytic_limit"], rel=1e-12)
+
+
+FUZZ_LAMBDAS = (0.5, -0.5, -1.0, -2.0, 0.0, 1e308, -1e308, 1e-300, -1e-300)
+FUZZ_KAPPAS = (1.0, 1e-300, 1e308, 1e-20, 1e20)
+FUZZ_POWERS = (2.0, 0.0, 1e308, 1e-300)
+FUZZ_RUNS = (("capacity", "--route", "closed"), ("capacity", "--route", "discrete"),
+             ("spectrum", "--sweep", "flat"), ("spectrum", "--sweep", "waterfill"))
+
+
+def test_extreme_inputs_give_finite_output_or_a_typed_error(capsys):
+    # every exception is a failure here, RuntimeWarnings included
+    # (pyproject's filterwarnings); 720 calls
+    for lam, kappa, power, run in itertools.product(FUZZ_LAMBDAS, FUZZ_KAPPAS,
+                                                    FUZZ_POWERS, FUZZ_RUNS):
+        argv = [run[0], f"--lambda={lam!r}", f"--kappa={kappa!r}", f"--power={power!r}",
+                *run[1:], "--format", "json"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            payload = json.loads(out)
+            if len(payload.get("results", ())) == 1:
+                # the one documented null: no discrepancy between a single route
+                assert payload.pop("max_discrepancy") is None
+            assert "null" not in json.dumps(payload), argv
 
 
 def test_unknown_flag_exits_two():

@@ -209,6 +209,40 @@ def test_waterfill_rate_stabilizes_at_small_power():
     assert abs(r1 - r2) < 1e-6
 
 
+def test_flat_sweep_drops_an_atan_term_whose_constant_underflows():
+    # kappa = 1e-162 at critical coloring: sqrt(b / (1 + p)) underflows to 0
+    # at this density, and x / root divided by zero; the noise is flat to
+    # within kappa^2 / x^2, far below rounding
+    rows = flat_input_limit_sweep(ChannelParams(-1e-162, 1e-162, 1e5), (16.0,), (32.0,))
+    white = flat_input_limit_sweep(ChannelParams(0.0, 1.0, 1e5), (16.0,), (32.0,))
+    assert rows[0][2] == pytest.approx(white[0][2], rel=1e-14)
+
+
+def test_flat_sweep_refuses_a_rate_that_overflows():
+    # the density P/n times x^2 overflows; the rate came out nan
+    with pytest.raises(ValueError, match="overflows"):
+        flat_input_limit_sweep(ChannelParams(-0.5, 1.0, 1e308), (16.0,), (32.0,))
+
+
+@pytest.mark.parametrize("lam,kappa", [(-0.5, 1e308), (-0.5, 1e-300), (0.0, 1e-300),
+                                       (-1e200, 1e200)])
+def test_waterfill_refuses_a_noise_density_out_of_float_range(lam, kappa):
+    # kappa^2 overflowed (OverflowError), or S_z(0) = c^2/(2 pi kappa^2)
+    # came out inf (an inf level and rate) or nan (no sign change in [nan,
+    # nan]), or S_z(W) underflowed to 0 (level and rate 0)
+    with pytest.raises(ValueError, match="noise density"):
+        waterfill_bandlimited(ChannelParams(lam, kappa, 2.0), 10.0, 2.0)
+
+
+@pytest.mark.parametrize("lam,kappa,band", [(-0.5, 1e20, 100.0), (-0.5, 1.0, 10.0)])
+def test_waterfill_refuses_a_power_below_the_level_resolution(lam, kappa, band):
+    # 1e-300 cannot lift the level off the floor by one ulp: the first case
+    # found no sign change, the second returned a rate of 1e-24 against a
+    # bound of 1e-300 / (4 pi min S_z)
+    with pytest.raises(ValueError, match="too small to resolve"):
+        waterfill_bandlimited(ChannelParams(lam, kappa, 1e-300), band, 1e-300)
+
+
 def test_p_max_values_and_cross_check():
     assert p_max(ChannelParams(-1.0, 1.0, 1.0)) == pytest.approx(0.5)
     assert p_max(ChannelParams(0.0, 1.0, 1.0)) == 0.0
