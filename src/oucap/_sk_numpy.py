@@ -25,9 +25,13 @@ import numpy as np
 # steps (23 rows with innovations, padded to 24) ran faster than 13, 16,
 # 21, 25 or 29 at 64 x 1e5 steps.
 _BLOCK = 20
-# Elements of scratch the kernel works in: the block matrices of a chunk of
-# blocks, with a quarter more for the noise terms of a run of blocks, so its
-# temporaries stay far below the batch's noise buffers.
+# Least elements of scratch the kernel works in: the block matrices of a
+# chunk of blocks, with a quarter more for the noise terms of a run of
+# blocks.  A batch works in a 32nd of the elements of one of its noise
+# buffers where that is more, so its temporaries stay far below those
+# buffers while a long batch builds its maps in fewer, larger chunks (about
+# 3x larger at 64 x 1e5 steps).  Chunking groups blocks only; it never
+# changes results.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -176,8 +180,9 @@ def filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
     # cols each, and about 12 gathered coefficients per step); a run's noise
     # terms and their xi2 part take a quarter of it
     cols = 3 + 2 * _BLOCK
-    per_chunk = max(1, _CHUNK_ELEMENTS // (cols * (_width(3 + _BLOCK) + 6) + 12 * _BLOCK))
-    per_run = max(1, _CHUNK_ELEMENTS // (8 * m * width))
+    budget = max(_CHUNK_ELEMENTS, m * n // 32)
+    per_chunk = max(1, budget // (cols * (_width(3 + _BLOCK) + 6) + 12 * _BLOCK))
+    per_run = max(1, budget // (8 * m * width))
     record = {k: pos for pos, k in enumerate(out_idx.tolist())}
     e = np.empty((m, 3))
     e[:, 0] = th0
@@ -207,7 +212,9 @@ def filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
                 np.add(y[i], state, out=y[i])
                 e = y[i, :, :3]
             if store:
-                innov_out[:, span] = y[:, :, 3:3 + r].transpose(1, 0, 2).reshape(m, q * r)
+                # into a view of the output, with no (m, q * r) temporary
+                np.copyto(innov_out[:, span].reshape(m, q, r),
+                          y[:, :, 3:3 + r].transpose(1, 0, 2))
             # keep the state, not the run's noise buffer it lies in
             e = e.copy()
     if n in record:

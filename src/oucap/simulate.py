@@ -22,6 +22,14 @@ message index (``_draw_trial``).  Aggregation is in trial order with a fixed
 batch size, so results are bit-identical regardless of batching or thread
 count.
 
+Everything that depends on the channel, the grid and the gain trajectory
+but not on the trials or the seed (the gain on the grid, the filter
+coefficients and var_theta) is the plan, _Scheme.  The last plan built is
+kept, read-only, and a later call on the same inputs (run_sk_scheme again,
+or decode_message after run_sk_scheme) reuses it instead of running the
+covariance recursion again; a call on other inputs, or on a trajectory
+changed in place, builds a new one, which replaces it.
+
 The filter runs in the numpy kernel oucap._sk_numpy, looked up through
 oucap.backends.get_backend() at each call, one batch at a time on the
 calling thread.  It carries the estimation error rather than the
@@ -46,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -246,7 +255,7 @@ def _gain_on_grid(traj: OdeTrajectory, params: ChannelParams, times: np.ndarray)
     trajectory's samples with their exact slopes, (log A)' = P g^2."""
     if traj.power != params.power:
         raise ValueError("trajectory was computed for a different power")
-    if traj.horizon < times[-1] - 1e-9:
+    if traj.horizon < times[-1] * (1.0 - 1e-9):
         raise ValueError("trajectory horizon shorter than the simulation horizon")
     x, y, dydx = traj.times, traj.log_a, params.power * traj.g**2
     dx = np.diff(x)
@@ -320,10 +329,12 @@ def _filter_coefficients(params: ChannelParams, delta: float,
 
 @dataclass(frozen=True)
 class _Scheme:
-    """The scheme laid out on the simulation grid.
+    """The plan: the scheme laid out on the simulation grid for one
+    (channel, grid, trajectory), whatever the trials and the seed.
 
     coeffs holds the filter_batch arguments that follow the per-trial noise:
     (hA, hzeta, K0, K1, K2, inv_sqrt_s, u, sqrt_delta, lam_delta, c1, c2).
+    Its arrays are read-only, since one plan serves many calls.
     """
 
     times: np.ndarray
@@ -334,7 +345,32 @@ class _Scheme:
     coeffs: tuple
 
 
+# (scalars, trajectory copy, plan) of the last plan _prepare_scheme built,
+# or None
+_last_plan = None
+
+
 def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) -> _Scheme:
+    """The plan for (params, cfg.horizon, cfg.steps, traj): the last one
+    built when the bits of everything it reads match, else a new one, which
+    then replaces it: lam, kappa, P, the horizon and the trajectory's power
+    (so -0.0 and 0.0 differ), the steps, and the trajectory's times, g and
+    log_a, compared against a private copy kept with the plan, so that a
+    trajectory changed in place gets a new plan.  Neither cfg.trials nor
+    cfg.master_seed enters the plan."""
+    global _last_plan
+    scalars = (struct.pack("<5d", params.lam, params.kappa, params.power, cfg.horizon, traj.power),
+               cfg.steps)
+    arrays = [np.asarray(a, dtype=float) for a in (traj.times, traj.g, traj.log_a)]
+    last = _last_plan
+    # arrays compared as 64-bit words, so that only the same bits match
+    if last is not None and last[0] == scalars and all(
+            np.array_equal(kept.view(np.uint64), a.view(np.uint64))
+            for kept, a in zip(last[1], arrays)):
+        return last[2]
+    # the old plan and its trajectory copy go before the new ones are built
+    last = _last_plan = None
+    kept = tuple(a.copy() for a in arrays)
     n = cfg.steps
     delta = cfg.delta
     times = np.arange(n + 1) * delta
@@ -343,12 +379,16 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
     h_amp = amp[:n] * delta
     h_zeta = params.lam * np.exp(-params.kappa * times[:n]) * delta
     k0, k1, k2, inv_sqrt_s, var_theta = _filter_coefficients(params, delta, h_amp, h_zeta)
+    for a in (times, log_amp, amp, h_amp, h_zeta, k0, k1, k2, inv_sqrt_s, var_theta):
+        a.flags.writeable = False
     u, _, rho, c2 = _step_constants(params, delta)
     sqrt_delta = math.sqrt(delta)
     coeffs = (h_amp, h_zeta, k0, k1, k2, inv_sqrt_s,
               u, sqrt_delta, params.lam * delta, rho / sqrt_delta, c2)
-    return _Scheme(times=times, log_amp=log_amp, amp=amp, var_theta=var_theta,
+    plan = _Scheme(times=times, log_amp=log_amp, amp=amp, var_theta=var_theta,
                    zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
+    _last_plan = (scalars, kept, plan)
+    return plan
 
 
 def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
@@ -391,13 +431,17 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
                 innov_rows: np.ndarray | None = None):
     """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
 
-    Trial i sends its standard-normal Theta0 or, given `grid`, the grid point
-    of the message index 1..grid.size it draws after its noise block.  The
-    batches run one after another on the calling thread, each drawn, from
-    SPLIT_STEPS steps on, by one thread per usable CPU, so one batch of
-    draws is alive at a time.  Returns (scheme, per-trial rows of the
-    squared error at out_idx, terminal estimates, message indices);
-    per-trial rows make results independent of batching and threads.
+    The plan comes from _prepare_scheme, so a call on the channel, grid and
+    trajectory of the last one reuses its plan.  Trial i sends its
+    standard-normal Theta0 or, given `grid`, the grid point of the message
+    index 1..grid.size it draws after its noise block.  The batches run one
+    after another on the calling thread, each drawn, from SPLIT_STEPS steps
+    on, by one thread per usable CPU, so one batch of draws is alive at a
+    time; each batch reads the kernel's filter_batch afresh, so a wrapper
+    installed between calls sees every batch.  Returns (plan, per-trial
+    rows of the squared error at out_idx, terminal estimates, message
+    indices); per-trial rows make results independent of batching and
+    threads.
     innov_rows, if given, receives the standardized innovations.
     """
     kern = backends.get_backend()

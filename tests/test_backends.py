@@ -77,6 +77,27 @@ def test_a_trials_bits_do_not_depend_on_its_batch(store):
             assert w is None and p is None or np.array_equal(w[rows], p)
 
 
+@pytest.mark.parametrize("store", [True, False], ids=["innovations", "no-innovations"])
+@pytest.mark.parametrize("trials,steps,out_idx", [
+    (64, 1007, [0, 36, 500, 1007]),
+    # a batch whose own share of scratch exceeds the smaller budgets
+    (16, 20000, [0, 36, 500, 9999, 20000]),
+], ids=["64x1007", "16x20000"])
+def test_chunking_does_not_change_bits(monkeypatch, trials, steps, out_idx, store):
+    # the scratch budget only groups blocks into chunks and runs; a trial's
+    # bits are the same whatever it is
+    scheme, th0, zeta0, xi1, xi2 = _batch(ChannelParams(-0.5, 1.0, 2.0), 4.0, steps, trials, 29)
+    out_idx = np.array(out_idx, dtype=np.int64)
+    results = []
+    for elements in (1 << 12, 1 << 16, 1 << 22):
+        monkeypatch.setattr(backends._sk_numpy, "_CHUNK_ELEMENTS", elements)
+        results.append(_filter(backends._sk_numpy.filter_batch, scheme, th0, zeta0,
+                               xi1, xi2, out_idx, store))
+    for other in results[1:]:
+        for w, p in zip(results[0], other):
+            assert w is None and p is None or np.array_equal(w, p)
+
+
 def test_numpy_kernel_allocates_far_less_than_its_draws():
     # one draw buffer of the batch is trials * steps doubles; per-step lists
     # or an O(trials * steps) temporary would each exceed a quarter of it

@@ -495,6 +495,149 @@ def test_traj_mismatch_raises(traj_std):
         run_sk_scheme(other, cfg2, traj_std)  # power mismatch
 
 
+def test_short_trajectory_is_refused_at_a_tiny_horizon():
+    # the guard is relative to the horizon: a trajectory of half the horizon
+    # is refused at T = 1e-10 as at T = 10, not held flat over the rest
+    traj = integrate_abel(abel_for_channel(P_STD), horizon=5e-11, step=5e-14)
+    cfg = SimConfig(horizon=1e-10, steps=100, trials=2, master_seed=61)
+    with pytest.raises(ValueError, match="horizon shorter"):
+        run_sk_scheme(P_STD, cfg, traj)
+    # a trajectory of the full tiny horizon is accepted
+    full = integrate_abel(abel_for_channel(P_STD), horizon=1e-10, step=1e-13)
+    assert np.all(np.isfinite(run_sk_scheme(P_STD, cfg, full).mmse_emp))
+
+
+def _count_filter_coefficients(monkeypatch):
+    """A list that gains an entry each time simulate._filter_coefficients
+    runs, with the plan cache emptied first."""
+    calls = []
+    original = simulate._filter_coefficients
+
+    def spy(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(simulate, "_filter_coefficients", spy)
+    monkeypatch.setattr(simulate, "_last_plan", None)
+    return calls
+
+
+def test_plan_is_built_once_for_a_channel_and_grid(traj_std, monkeypatch):
+    calls = _count_filter_coefficients(monkeypatch)
+    cfg = SimConfig(horizon=2.0, steps=300, trials=40, master_seed=5)
+    rep = run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True)
+    # other seeds and trial counts share the plan
+    decode_message(P_STD, replace(cfg, trials=70, master_seed=6), traj_std, grid_size=16)
+    run_sk_scheme(P_STD, replace(cfg, trials=3, master_seed=7), traj_std)
+    assert len(calls) == 1
+    # a warm plan gives the bits of a cold one
+    warm = run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True)
+    monkeypatch.setattr(simulate, "_last_plan", None)
+    cold = run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True)
+    assert len(calls) == 2
+    for a, b, c in ((rep.mmse_emp, warm.mmse_emp, cold.mmse_emp),
+                    (rep.power_emp, warm.power_emp, cold.power_emp),
+                    (rep.mmse_filter, warm.mmse_filter, cold.mmse_filter),
+                    (rep.innovations, warm.innovations, cold.innovations)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_plan_is_rebuilt_when_what_it_reads_changes(traj_std, monkeypatch):
+    calls = _count_filter_coefficients(monkeypatch)
+    cfg = SimConfig(horizon=2.0, steps=300, trials=4, master_seed=5)
+    other_power = ChannelParams(P_STD.lam, P_STD.kappa, 1.0)
+    white = ChannelParams(0.0, 1.0, 2.0)
+    white_traj = make_traj(white, 2.0)
+    moved = replace(traj_std, log_a=traj_std.log_a.copy())
+    runs = [
+        (P_STD, cfg, traj_std),
+        (P_STD, replace(cfg, steps=301), traj_std),
+        (P_STD, replace(cfg, horizon=2.5), traj_std),
+        (other_power, cfg, make_traj(other_power, 2.0)),
+        (white, cfg, white_traj),
+        (ChannelParams(-0.0, 1.0, 2.0), cfg, white_traj),
+        (P_STD, cfg, traj_std),
+    ]
+    for params, c, traj in runs:
+        run_sk_scheme(params, c, traj)
+    assert len(calls) == len(runs)
+    # trajectories are compared by content: an equal copy shares the plan,
+    # until it is changed in place
+    run_sk_scheme(P_STD, cfg, moved)
+    assert len(calls) == len(runs)
+    moved.log_a[5] += 1e-12
+    run_sk_scheme(P_STD, cfg, moved)
+    assert len(calls) == len(runs) + 1
+    run_sk_scheme(P_STD, cfg, moved)
+    assert len(calls) == len(runs) + 1
+    # by bits, as the scalars are: -0.0 in place of 0.0 is a change too
+    assert moved.times[0] == 0.0 and not math.copysign(1.0, moved.times[0]) < 0
+    moved = replace(moved, times=moved.times.copy())
+    moved.times[0] = -0.0
+    run_sk_scheme(P_STD, cfg, moved)
+    assert len(calls) == len(runs) + 2
+
+
+def test_plan_arrays_are_read_only(traj_std):
+    cfg = SimConfig(horizon=2.0, steps=300, trials=4, master_seed=5)
+    plan = simulate._prepare_scheme(P_STD, cfg, traj_std)
+    arrays = [plan.times, plan.log_amp, plan.amp, plan.var_theta]
+    arrays += [a for a in plan.coeffs if isinstance(a, np.ndarray)]
+    assert len(arrays) == 10
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_threads_sharing_the_plan_cache_get_their_own_plans(traj_std):
+    # threads on two grids replace each other's plan all the time; each
+    # call must still run on the plan of its own inputs
+    cfgs = [SimConfig(horizon=2.0, steps=steps, trials=8, master_seed=5) for steps in (200, 240)]
+    want = [run_sk_scheme(P_STD, c, traj_std).mmse_emp for c in cfgs]
+    bad = []
+
+    def work(k):
+        for i in range(10):
+            c = cfgs[(k + i) % 2]
+            if not np.array_equal(run_sk_scheme(P_STD, c, traj_std).mmse_emp,
+                                  want[(k + i) % 2]):
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_kernel_hook_sees_every_batch_of_a_warm_plan(traj_std, monkeypatch):
+    # perfbench wraps get_backend().filter_batch after a warm-up call has
+    # built the plan; each batch of a later call must still go through it
+    cfg = SimConfig(horizon=2.0, steps=100, trials=1100, master_seed=5)
+    run_sk_scheme(P_STD, replace(cfg, trials=1), traj_std)
+    plan = simulate._last_plan
+    kern = backends.get_backend()
+    original = kern.filter_batch
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(kern, "filter_batch", spy)
+    run_sk_scheme(P_STD, cfg, traj_std)
+    assert simulate._last_plan is plan
+    assert len(calls) == math.ceil(cfg.trials / simulate.BATCH_SIZE)
+    assert sum(calls) == cfg.trials
+
+
 def test_decode_trivial_and_two_messages(traj_std):
     params = ChannelParams(0.0, 1.0, 2.0)
     traj = make_traj(params, 10.0)
