@@ -18,9 +18,17 @@ in order, a head block of 2 standard normals (Theta0 slot, then zeta0 slot,
 scaled by (2 kappa)^{-1/2}) followed by a (2, steps) standard-normal matrix
 whose first row scales into the Brownian increments and whose second row
 supplies the extra OU randomness; decode_message's trials then draw their
-message index (``_draw_trial``).  Aggregation is in trial order with a fixed
-batch size, so results are bit-identical regardless of batching or thread
-count.
+message index.  The stationary noise sampler uses only the head and the
+first row, so its draws stop after the first row: a prefix of the same
+stream.  Aggregation is in trial order with a fixed batch size, so results
+are bit-identical regardless of batching or thread count.
+
+No generator is built per trial.  Child i is SeedSequence(master_seed,
+spawn_key=(i,)), and _seed_words runs NumPy's SeedSequence hash for every
+trial of a batch in one pass on uint32 arrays; PCG64's seeding step turns
+each trial's 4 words into its 128-bit state in Python ints, and each drawing
+thread keeps one PCG64 whose state it sets once per trial (_fill_trial).
+The states are bit for bit those of numpy's own construction.
 
 Everything that depends on the channel, the grid and the gain trajectory
 but not on the trials or the seed (the gain on the grid, the filter
@@ -41,8 +49,8 @@ however many threads BLAS runs; it only reads the batch's noise draws.  One
 batch of draws is alive at a time: its trials are drawn straight into the
 batch's buffers, split over the usable CPUs when trials are long
 (SPLIT_STEPS).  The stationary noise sampler draws through the same batch
-path, all its trials as one batch, and ljung_box works through its rows in
-cache-sized blocks.
+path, all its trials as one batch with one row each, and ljung_box works
+through its rows in cache-sized blocks.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -75,10 +83,16 @@ BATCH_SIZE = 512
 # including 0 and n.
 OUTPUT_POINTS = 101
 # Steps per trial from which a batch's draws are split over threads.  A
-# normal fill releases the GIL only while it runs, and each trial's
-# generator set-up holds it, so on shorter trials two threads drew a batch
-# more slowly than one (2 CPUs, 512 x 200: 0.036 s against 0.022 s); the two
-# crossed near 1500 steps.
+# normal fill releases the GIL only while it runs; each trial's state set-up
+# holds it, and a thread's start costs up to a few ms in a fresh process.
+# 2 CPUs, 512 trials, one thread against two: in a process that has drawn
+# batch after batch, 0.0041 s against 0.0080 s at 200 steps, 0.0088 s on
+# both at 700 and 0.0116 s against 0.0085 s at 1000; in the first batch of
+# a fresh process, 0.013 s against 0.016 s at 1000, 0.023 s against 0.026 s
+# at 2048 and 0.045 s against 0.041 s at 4096.  A lower threshold would
+# speed up runs of many batches between 700 and 2048 steps, and slow down
+# short runs of one or two batches (at 800, `oucap simulate` of 50 x 1000
+# steps took about 7 ms more).
 SPLIT_STEPS = 2048
 # Elements of the scratch block that ljung_box works through at a time
 # (1 MiB, which stays in a core's cache).
@@ -87,11 +101,14 @@ _LJUNG_BOX_BLOCK = 1 << 17
 
 def _integer(name: str, value) -> int:
     """value as an int; ValueError unless it is an integer (a Python or
-    numpy integer, not a float or a string)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    numpy integer, not a bool, a float or a string)."""
+    # a bool is an int to operator.index, True being 1
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,27 +180,130 @@ class SimReport:
         ]
 
 
-def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0,
-                head: np.ndarray | None = None,
-                xi: tuple[np.ndarray, np.ndarray] | None = None):
+# NumPy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) hashes its
+# entropy into a pool of 4 uint32 words with these constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words32(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: its 32-bit words, least
+    significant first, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+# SeedSequence's two mixing steps, on Python ints and uint32 arrays alike:
+# the masks keep Python ints to 32 bits, and uint32 arrays wrap by themselves
+# (a numpy scalar would warn on overflow instead).
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """(value hashed with the hash constant h, the next hash constant)."""
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, word, h: int) -> int:
+    """Mix one entropy word past the pool's first fill into every pool word;
+    returns the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        hashed, h = _hashmix(word, h)
+        pool[dst] = _mix(pool[dst], hashed)
+    return h
+
+
+def _seed_words(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Row i - lo is SeedSequence(master_seed, spawn_key=(i,)).generate_state(4,
+    np.uint64), the words PCG64 seeds from, for trials i = lo..hi-1 in one pass.
+
+    The entropy is master_seed's words, padded with zeros to the pool size
+    (a spawn key follows), then the trial index's words.  The part common to
+    every trial is mixed once in Python ints; each trial's index words are
+    then mixed in on uint32 arrays, one trial per element, and the pool is
+    hashed out into 8 words read in pairs as little-endian uint64.  The hash
+    constants depend only on how many words the index has, so a window that
+    crosses 2**32 runs as two groups.
+    """
+    run = _words32(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    h = _INIT_A
+    pool = []
+    for word in run[:_POOL_SIZE]:
+        word, h = _hashmix(word, h)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in run[_POOL_SIZE:]:
+        h = _absorb(pool, word, h)
+    out = np.empty((hi - lo, 4), dtype=np.uint64)
+    a = lo
+    while a < hi:
+        k = max(1, -(-a.bit_length() // 32))
+        b = min(hi, 1 << 32 * k)
+        trial = np.arange(a, b, dtype=np.uint64 if b <= 1 << 64 else object)
+        mixer = [np.full(b - a, word, dtype=np.uint32) for word in pool]
+        hk = h
+        for j in range(k):
+            hk = _absorb(mixer, (trial >> 32 * j & _MASK32).astype(np.uint32), hk)
+        state = []
+        hb = _INIT_B
+        for i in range(8):
+            word, hb = _hashmix(mixer[i % _POOL_SIZE], hb, _MULT_B)
+            state.append(word)
+        out[a - lo:b - lo] = np.stack(state, axis=1).astype("<u4").view("<u8")
+        a = b
+    return out
+
+
+def _fill_trial(gen: np.random.Generator, words: np.ndarray, head: np.ndarray,
+                xi: np.ndarray, messages: int) -> int:
+    """Draw one trial with gen, the per-trial step of every draw, called on
+    the thread that draws the trial.
+
+    gen's PCG64 gets the state that PCG64(SeedSequence) seeds from the
+    trial's 4 words (_seed_words); then the normals fill `head` (2) and each
+    row of `xi` in turn, the stream of one (rows, steps) fill.  Returns the
+    message index drawn next, uniform on 1..messages, when messages > 0, and
+    0 (not drawn) otherwise.
+    """
+    # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps from state 0,
+    # with initstate added after the first
+    w0, w1, w2, w3 = words.tolist()
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    gen.standard_normal(out=head)
+    for row in xi:
+        gen.standard_normal(out=row)
+    return int(gen.integers(1, messages + 1)) if messages else 0
+
+
+def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0):
     """Trial `trial`'s standard draws, in contract order: (head of 2 normals,
     xi of shape (2, steps), message index), the last an integer drawn
     uniformly from 1..messages when messages > 0 and 0 (not drawn) otherwise.
-    Given a C-contiguous `head` of 2 and `xi` as two C-contiguous rows of
-    `steps`, the normals are drawn into them in place; the rows are filled
-    one after the other, which is the stream of one (2, steps) fill.
-
-    The child seed is built directly; its stream is identical to
-    SeedSequence(master_seed).spawn(trials)[trial] without the O(trials) spawn.
-    """
-    child = np.random.SeedSequence(master_seed, spawn_key=(trial,))
-    g = np.random.Generator(np.random.PCG64(child))
-    head = g.standard_normal(2, out=head)
-    xi = np.empty((2, steps)) if xi is None else xi
-    for row in xi:
-        g.standard_normal(out=row)
-    message = int(g.integers(1, messages + 1)) if messages else 0
-    return head, xi, message
+    Drawn by _draw_batch as a batch of one."""
+    th0, zeta0, xi1, xi2, sent = _draw_batch(master_seed, trial, trial + 1, steps, messages)
+    return np.array([th0[0], zeta0[0]]), np.stack((xi1[0], xi2[0])), int(sent[0])
 
 
 def _step_constants(params: ChannelParams, delta: float) -> tuple[float, float, float, float]:
@@ -217,15 +337,15 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     m_delta = math.sqrt(2.0 * kappa * delta / -math.expm1(-2.0 * kappa * delta))
     decay = np.exp(-kappa * np.arange(n) * delta)
     sqrt_delta = math.sqrt(delta)
-    # xi2 is drawn only because the randomness contract draws it
-    th0, zeta0, xi1, xi2, sent = _draw_batch(cfg.master_seed, 0, m, n, 0)
+    # the first row is all the sampler uses, so its draws stop there
+    _, zeta0, xi1, _, _ = _draw_batch(cfg.master_seed, 0, m, n, 0, rows=1)
     tail = rho * m_delta * (zeta0 / math.sqrt(2.0 * kappa))
     # time-major: row k holds step k of every trial, so the recursion below
     # runs over time with each step vectorised across trials
     bt = np.empty((n, m))
     np.multiply(xi1.T, sqrt_delta, out=bt)
     # free the draws before the recursion allocates its own (n, m) arrays
-    del th0, zeta0, xi1, xi2, sent
+    del zeta0, xi1
     # w_k = sum_{i<k} e^{-kappa (t_k - t_{i+1})} B_i via the stable
     # recursion w_{k+1} = u w_k + B_k; then d_k * sum = rho * w_k.
     zt = np.empty((n, m))
@@ -392,21 +512,25 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
 
 
 def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
-                parts: int = 1):
-    """Trials lo..hi-1 drawn by _draw_trial into one (m, 2) head and two
-    (m, n) noise buffers, every parts-th trial by each of `parts` threads
-    (the calling thread one of them): (th0, zeta0, xi1, xi2, message
-    indices), all C-contiguous."""
+                parts: int = 1, rows: int = 2):
+    """Trials lo..hi-1 drawn into one (m, 2) head and `rows` (m, n) noise
+    buffers: (th0, zeta0, xi1, xi2, message indices), all C-contiguous, and
+    xi2 None when rows is 1, which stops each trial's stream after its first
+    row (only without messages, which come after the second).  The trials'
+    seed words come from _seed_words in one pass; each of `parts` threads
+    (the calling thread one of them) keeps one generator and draws every
+    parts-th trial with _fill_trial."""
     m = hi - lo
+    words = _seed_words(master_seed, lo, hi)
     head = np.empty((m, 2))
-    xi1 = np.empty((m, n))
-    xi2 = np.empty((m, n))
+    xi = np.empty((rows, m, n))
     sent = np.empty(m, dtype=np.int64)
 
     def draw(part: int) -> None:
+        # seed 0 is a placeholder: _fill_trial sets each trial's state
+        gen = np.random.Generator(np.random.PCG64(0))
         for i in range(part, m, parts):
-            _, _, sent[i] = _draw_trial(master_seed, lo + i, n, messages,
-                                        head[i], (xi1[i], xi2[i]))
+            sent[i] = _fill_trial(gen, words[i], head[i], xi[:, i], messages)
 
     # an executor starts its threads on submit, so a serial draw starts none
     with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
@@ -415,7 +539,7 @@ def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
         for helper in helpers:
             helper.result()
     th0, zeta0 = head.T.copy()
-    return th0, zeta0, xi1, xi2, sent
+    return th0, zeta0, xi[0], (xi[1] if rows > 1 else None), sent
 
 
 def _usable_cpus() -> int:

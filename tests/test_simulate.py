@@ -59,10 +59,11 @@ def test_config_validation():
         SimConfig(horizon=1.0, steps=200, trials=0, master_seed=0)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, steps=200, trials=1, master_seed=-3)
-    # counts and seeds are integers: a float or a string is refused here,
-    # not later as a misleading trajectory error or a bare TypeError
+    # counts and seeds are integers: a float, a string or a bool is refused
+    # here, not later as a misleading trajectory error or a bare TypeError
     for bad in ({"steps": 200.5}, {"steps": 200.0}, {"trials": 3.5}, {"trials": "3"},
-                {"master_seed": 1.5}, {"master_seed": None}):
+                {"master_seed": 1.5}, {"master_seed": None}, {"steps": True},
+                {"trials": True}, {"master_seed": True}, {"master_seed": False}):
         with pytest.raises(ValueError, match="must be an integer"):
             SimConfig(**{"horizon": 2.0, "steps": 200, "trials": 3, "master_seed": 1, **bad})
     assert SimConfig(horizon=2.0, steps=np.int64(200), trials=np.int32(3),
@@ -241,14 +242,14 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     assert 0.0 < err_one < 1.0
     # each batch's draws split over 1 and 4 threads, forced on at 300 steps
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
-    draw_trial = simulate._draw_trial
+    fill_trial = simulate._fill_trial
     drawers = set()
 
     def spy_draw(*args):
         drawers.add(threading.get_ident())
-        return draw_trial(*args)
+        return fill_trial(*args)
 
-    monkeypatch.setattr(simulate, "_draw_trial", spy_draw)
+    monkeypatch.setattr(simulate, "_fill_trial", spy_draw)
     for width in (1, 4):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
         drawers.clear()
@@ -256,7 +257,7 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
         assert drawers == {threading.get_ident()} if width == 1 else len(drawers) >= width
         assert np.array_equal(one.mmse_emp, split.mmse_emp)
         assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
-    monkeypatch.setattr(simulate, "_draw_trial", draw_trial)
+    monkeypatch.setattr(simulate, "_fill_trial", fill_trial)
     # two threads fill the batch buffers with each trial's own draws
     lo, hi, messages = 3, 70, 64
     th0, zeta0, xi1, xi2, sent = simulate._draw_batch(cfg.master_seed, lo, hi, cfg.steps,
@@ -362,14 +363,14 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
-    original = simulate._draw_trial
+    original = simulate._fill_trial
     callers = set()
 
     def spy(*args):
         callers.add(threading.get_ident())
         return original(*args)
 
-    monkeypatch.setattr(simulate, "_draw_trial", spy)
+    monkeypatch.setattr(simulate, "_fill_trial", spy)
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: pytest.fail("a thread was started"))
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
@@ -388,6 +389,110 @@ def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
     assert threading.active_count() == before
     decode_message(P_STD, cfg, traj_std, grid_size=16)
     assert threading.active_count() == before
+
+
+def _contract_draws(seed, steps, messages):
+    """(head, xi, message) drawn by numpy's own generator from `seed`, in
+    the randomness contract's order."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    head = g.standard_normal(2)
+    xi = g.standard_normal((2, steps))
+    return head, xi, int(g.integers(1, messages + 1)) if messages else 0
+
+
+SEED_WINDOWS = [(0, 70), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64 + 2)]
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1,
+                                         2**200 + 3])
+def test_seed_words_and_draws_match_numpy(master_seed):
+    # every trial's PCG64 state comes from one vectorised pass over the
+    # window; it must be numpy's own, including trial indices of two and
+    # three 32-bit words and master seeds longer than the pool
+    steps, messages = 12, 40
+    for lo, hi in SEED_WINDOWS:
+        words = simulate._seed_words(master_seed, lo, hi)
+        assert words.shape == (hi - lo, 4) and words.dtype == np.uint64
+        th0, zeta0, xi1, xi2, sent = simulate._draw_batch(master_seed, lo, hi, steps, messages)
+        for i in range(lo, hi):
+            child = np.random.SeedSequence(master_seed, spawn_key=(i,))
+            assert np.array_equal(words[i - lo], child.generate_state(4, np.uint64))
+            head, xi, message = _contract_draws(child, steps, messages)
+            assert (th0[i - lo], zeta0[i - lo]) == tuple(head)
+            assert np.array_equal(xi1[i - lo], xi[0]) and np.array_equal(xi2[i - lo], xi[1])
+            assert sent[i - lo] == message
+
+
+def test_draws_follow_the_contracts_spawned_children():
+    # the contract's literal form: child i of SeedSequence(master_seed).spawn(trials)
+    master_seed, trials, steps, messages = 2**70 + 3, 40, 30, 64
+    th0, zeta0, xi1, xi2, sent = simulate._draw_batch(master_seed, 0, trials, steps, messages,
+                                                      parts=2)
+    for i, child in enumerate(np.random.SeedSequence(master_seed).spawn(trials)):
+        head, xi, message = _contract_draws(child, steps, messages)
+        assert (th0[i], zeta0[i]) == tuple(head)
+        assert np.array_equal(xi1[i], xi[0]) and np.array_equal(xi2[i], xi[1])
+        assert sent[i] == message
+
+
+def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
+    # each drawing thread builds one PCG64 for its batch and reseeds it per
+    # trial from the batch's seed words; no SeedSequence is built at all
+    made, seeded = [], []
+
+    # named PCG64, since the state setter checks the class name
+    class PCG64(np.random.PCG64):
+        def __init__(self, *args):
+            made.append(threading.get_ident())
+            super().__init__(*args)
+
+    real_seed_sequence = np.random.SeedSequence
+
+    def counted_seed_sequence(*args, **kwargs):
+        seeded.append(args)
+        return real_seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
+    cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
+    batches = math.ceil(cfg.trials / simulate.BATCH_SIZE)
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    for width in (1, 2):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
+        for run in (lambda: run_sk_scheme(P_STD, cfg, traj_std),
+                    lambda: decode_message(P_STD, cfg, traj_std, grid_size=16)):
+            made.clear()
+            run()
+            assert made.count(threading.get_ident()) == batches
+            assert len(made) <= batches * width
+    made.clear()
+    stationary_arma_noise(ChannelParams(-0.7, 1.0, 1.0), cfg)
+    assert made == [threading.get_ident()]
+    assert seeded == []
+
+
+def test_noise_sampler_draws_one_row_per_trial(monkeypatch):
+    # the sampler uses each trial's head and first row, so its draws hold
+    # one (trials, steps) buffer: a second row's buffer would double them
+    params = ChannelParams(-0.7, 1.0, 1.0)
+    cfg = SimConfig(horizon=10.0, steps=200, trials=2000, master_seed=29)
+    draw_batch = simulate._draw_batch
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = draw_batch(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(simulate, "_draw_batch", traced)
+    stationary_arma_noise(params, cfg)
+    buffer_bytes = cfg.trials * cfg.steps * 8
+    assert len(peaks) == 1 and buffer_bytes < peaks[0] < 1.5 * buffer_bytes
 
 
 @pytest.mark.parametrize("lam,kappa", [
@@ -647,8 +752,9 @@ def test_decode_trivial_and_two_messages(traj_std):
     assert err < 1e-3
     with pytest.raises(ValueError):
         decode_message(params, cfg, traj, grid_size=0)
-    # a grid size is an integer: 2.5 is refused, not truncated to 2
-    for bad in (2.5, 2.0, "8", None):
+    # a grid size is an integer: 2.5 is refused, not truncated to 2, and
+    # True is not the one-message grid
+    for bad in (2.5, 2.0, "8", None, True):
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             decode_message(params, cfg, traj, grid_size=bad)
     assert decode_message(params, cfg, traj, grid_size=np.int64(2)) == err
@@ -702,7 +808,7 @@ def test_decode_message_draws_each_message_after_its_noise(traj_std):
 def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
     # a batch draws 2 * BATCH_SIZE * steps normals; holding the previous
     # batch while drawing the next doubles the peak.  The per-trial state
-    # (seed sequences, output rows) stays small against that at this shape.
+    # (seed words, output rows) stays small against that at this shape.
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
     monkeypatch.setattr(simulate, "OUTPUT_POINTS", 11)
     cfg = SimConfig(horizon=10.0, steps=2000, trials=192, master_seed=73)
@@ -745,7 +851,7 @@ def test_ljung_box_rejects_zero_rows_and_non_integer_lags():
     v[2] = 0.0
     with pytest.raises(ValueError, match="row 2"):
         ljung_box(v, lags=5)
-    for lags in (2.5, 2.0, "3", None):
+    for lags in (2.5, 2.0, "3", None, True):
         with pytest.raises(ValueError, match="integer"):
             ljung_box(v[:2], lags=lags)
     assert ljung_box(v[:2], lags=np.int64(5)).shape == (2,)
