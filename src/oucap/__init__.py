@@ -43,6 +43,7 @@ from .errors import (
     FilterDivergence,
     GridMismatch,
     InvalidArma,
+    MemoryBudgetExceeded,
     NotConverged,
     OucapError,
     RootNotBracketed,
@@ -86,6 +87,7 @@ __all__ = [
     "GridMismatch",
     "InputSpectrum",
     "InvalidArma",
+    "MemoryBudgetExceeded",
     "NotConverged",
     "OdeTrajectory",
     "OucapError",

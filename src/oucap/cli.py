@@ -2,8 +2,9 @@
 
 Subcommands: capacity (closed-form / ODE-limit / discrete-limit routes),
 simulate (Monte Carlo of the feedback scheme), spectrum (non-feedback
-sweeps).  Exit codes: 0 success, 2 invalid flags or parameters, 3 a
-computation failed to converge, 4 filter divergence.  Text output is
+sweeps).  Exit codes: 0 success, 2 invalid flags or parameters or a
+simulation too large for physical memory, 3 a computation failed to
+converge, 4 filter divergence.  Text output is
 human-oriented and unstable; CSV and JSON are the compatibility surface.
 When --out is given, data files are written together with a
 `.manifest.json` sidecar recording parameters, version, seed, and timestamp.
@@ -26,7 +27,7 @@ from .capacity import (
     feedback_capacity_closed_form,
 )
 from .channel import ChannelParams
-from .errors import FilterDivergence, OucapError
+from .errors import FilterDivergence, MemoryBudgetExceeded, OucapError
 from .simulate import SimConfig, run_sk_scheme
 from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
 
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
     try:
         params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
         _emit(args, *args.run(args, params))
-    except ValueError as exc:
+    except (ValueError, MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FilterDivergence as exc:

@@ -36,3 +36,6 @@ class FilterDivergence(OucapError):
 class StationarityViolated(OucapError):
     """A sampled stationarized-noise path failed its one-lag recursion identity."""
 
+
+class MemoryBudgetExceeded(OucapError):
+    """A run's arrays would not fit in the machine's physical memory."""

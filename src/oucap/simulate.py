@@ -47,10 +47,14 @@ trial, so the kernel applies each block of steps to the whole batch as one
 matrix, in BLAS products that round each trial alike whatever its batch and
 however many threads BLAS runs; it only reads the batch's noise draws.  One
 batch of draws is alive at a time: its trials are drawn straight into the
-batch's buffers, split over the usable CPUs when trials are long
-(SPLIT_STEPS).  The stationary noise sampler draws through the same batch
+batch's buffers.  The stationary noise sampler draws through the same batch
 path, all its trials as one batch with one row each, and ljung_box works
-through its rows in cache-sized blocks.
+through its rows in cache-sized blocks.  A batch's draws and ljung_box's
+rows are shared over the usable CPUs by one rule and one helper (_parts,
+_on_cpus) once the rows are long and the job is large enough to repay a
+thread's start (SPLIT_STEPS, SPLIT_WORK); each row is worked by one thread
+in the same order whatever the split, so the bits do not depend on it, and
+every helper thread ends before the call returns.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -70,10 +74,11 @@ from statistics import NormalDist
 import numpy as np
 
 from . import backends
+from ._sk_numpy import _CHUNK_ELEMENTS
 from .abel import OdeTrajectory
 from .capacity import arma_from_step
 from .channel import ChannelParams
-from .errors import FilterDivergence, StationarityViolated
+from .errors import FilterDivergence, MemoryBudgetExceeded, StationarityViolated
 
 
 # Trials per filter batch.  Batching only groups trials for vectorization;
@@ -82,18 +87,24 @@ BATCH_SIZE = 512
 # Rows of the run_sk_scheme curves, at (near-)equispaced step indices
 # including 0 and n.
 OUTPUT_POINTS = 101
-# Steps per trial from which a batch's draws are split over threads.  A
-# normal fill releases the GIL only while it runs; each trial's state set-up
-# holds it, and a thread's start costs up to a few ms in a fresh process.
-# 2 CPUs, 512 trials, one thread against two: in a process that has drawn
-# batch after batch, 0.0041 s against 0.0080 s at 200 steps, 0.0088 s on
-# both at 700 and 0.0116 s against 0.0085 s at 1000; in the first batch of
-# a fresh process, 0.013 s against 0.016 s at 1000, 0.023 s against 0.026 s
-# at 2048 and 0.045 s against 0.041 s at 4096.  A lower threshold would
-# speed up runs of many batches between 700 and 2048 steps, and slow down
-# short runs of one or two batches (at 800, `oucap simulate` of 50 x 1000
-# steps took about 7 ms more).
+# A job of independent rows (a batch's draws, ljung_box's series) is split
+# over the usable CPUs, one part per CPU and at most one per row (_parts),
+# once its rows are SPLIT_STEPS long and it holds SPLIT_WORK elements.
+# SPLIT_STEPS: a normal fill releases the GIL only while it runs, and each
+# trial's state set-up holds it.  2 CPUs, 512 trials, one thread against
+# two, in a process that has drawn batch after batch: 0.0041 s against
+# 0.0080 s at 200 steps, 0.0088 s on both at 700, 0.0116 s against 0.0085 s
+# at 1000.
 SPLIT_STEPS = 2048
+# SPLIT_WORK: a helper thread's start, with the first touch of its share of
+# fresh buffers, costs a few ms, which a split must repay.  The first call
+# in fresh processes, 2 CPUs, medians of 7 to 9 processes, one part against
+# two: draws of 50 x 1e4 (`oucap simulate --trials 50`) 17.4 ms against
+# 24.4 ms, 200 x 1e4 46.9 against 49.5, 512 x 4096 50.1 against 50.9, 250 x
+# 1e4 56.4 against 56.8, 350 x 1e4 76.9 against 75.4, 400 x 1e4 87.1
+# against 81.8, 512 x 1e4 108 against 95; ljung_box of 32 x 1e5 37.9
+# against 38.3, 350 x 1e4 47.2 against 42.4, 48 x 1e5 57.2 against 43.2.
+SPLIT_WORK = 3_500_000
 # Elements of the scratch block that ljung_box works through at a time
 # (1 MiB, which stays in a core's cache).
 _LJUNG_BOX_BLOCK = 1 << 17
@@ -306,6 +317,48 @@ def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0):
     return np.array([th0[0], zeta0[0]]), np.stack((xi1[0], xi2[0])), int(sent[0])
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, from os.sysconf, or None where the
+    platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
+                  sampler: bool = False) -> int:
+    """The bytes a Monte Carlo run on cfg holds at its peak, estimated before
+    it allocates anything; raises MemoryBudgetExceeded when they exceed
+    physical memory.
+
+    In doubles: for run_sk_scheme and decode_message (sampler False) the
+    plan's per-step arrays and their build, 16 (steps + 1); the per-trial
+    rows, trials (OUTPUT_POINTS + 3); one batch of draws, 2 steps + 8 per
+    trial of the batch; the kernel's scratch, twice its chunk budget; the
+    innovations, trials x steps, when kept; and decode_message's grid, 5 per
+    message, for its array and the floats it is built from.  For
+    stationary_arma_noise, 5 (steps, trials) arrays, as its recursion and
+    identity check hold four at once, and 16 (steps + trials) for its
+    per-step and per-trial vectors.
+    """
+    n, m = cfg.steps, cfg.trials
+    if sampler:
+        words = 5 * m * n + 16 * (n + m)
+    else:
+        batch = min(BATCH_SIZE, m)
+        words = (16 * (n + 1) + m * (OUTPUT_POINTS + 3) + batch * (2 * n + 8)
+                 + 2 * max(_CHUNK_ELEMENTS, batch * n // 32)
+                 + (m * n if innovations else 0) + 5 * grid_size)
+    need = 8 * words
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryBudgetExceeded(
+            f"{m} trials x {n} steps need about {need / 2**30:.3g} GiB, more than "
+            f"the {have / 2**30:.3g} GiB of physical memory")
+    return need
+
+
 def _step_constants(params: ChannelParams, delta: float) -> tuple[float, float, float, float]:
     """(u, sig2, rho, c2): OU decay, transition-noise variance, its covariance
     with the Brownian increment, and the independent-component scale."""
@@ -325,8 +378,10 @@ def stationary_arma_noise(params: ChannelParams, cfg: SimConfig) -> np.ndarray:
     m(x) = sqrt(2 kappa x / (1 - e^{-2 kappa x})); the tail weight makes the
     sequence exactly stationary.  Each path is verified against the one-lag
     recursion Z~_{k+1} = e^{-kappa delta} Z~_k + B_{k+1} + theta(delta) B_k;
-    a path that fails it raises StationarityViolated.
+    a path that fails it raises StationarityViolated.  A shape whose arrays
+    would exceed physical memory raises MemoryBudgetExceeded first.
     """
+    _check_memory(cfg, sampler=True)
     n = cfg.steps
     m = cfg.trials
     delta = cfg.delta
@@ -517,9 +572,9 @@ def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
     buffers: (th0, zeta0, xi1, xi2, message indices), all C-contiguous, and
     xi2 None when rows is 1, which stops each trial's stream after its first
     row (only without messages, which come after the second).  The trials'
-    seed words come from _seed_words in one pass; each of `parts` threads
-    (the calling thread one of them) keeps one generator and draws every
-    parts-th trial with _fill_trial."""
+    seed words come from _seed_words in one pass; each of `parts` parts,
+    run by _on_cpus, keeps one generator and draws every parts-th trial
+    with _fill_trial."""
     m = hi - lo
     words = _seed_words(master_seed, lo, hi)
     head = np.empty((m, 2))
@@ -532,12 +587,7 @@ def _draw_batch(master_seed: int, lo: int, hi: int, n: int, messages: int,
         for i in range(part, m, parts):
             sent[i] = _fill_trial(gen, words[i], head[i], xi[:, i], messages)
 
-    # an executor starts its threads on submit, so a serial draw starts none
-    with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
-        helpers = [pool.submit(draw, part) for part in range(1, parts)]
-        draw(0)
-        for helper in helpers:
-            helper.result()
+    _on_cpus(draw, parts)
     th0, zeta0 = head.T.copy()
     return th0, zeta0, xi[0], (xi[1] if rows > 1 else None), sent
 
@@ -550,6 +600,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _parts(rows: int, cols: int) -> int:
+    """How many parts a job of `rows` independent rows of `cols` elements
+    is split into: one per usable CPU, but never more than its rows, once
+    its rows are SPLIT_STEPS long and it holds SPLIT_WORK elements; else 1.
+    Read at each call, so the thresholds and _usable_cpus may be patched."""
+    if cols < SPLIT_STEPS or rows * cols < SPLIT_WORK:
+        return 1
+    return max(1, min(_usable_cpus(), rows))
+
+
+def _on_cpus(work, parts: int) -> None:
+    """Run work(part) for part = 0..parts-1: part 0 on the calling thread,
+    the others on up to parts - 1 helper threads started for this call.
+    Returns once every part has ended and every helper has exited, and
+    re-raises a part's error."""
+    # an executor starts its threads on submit, so one part starts none
+    with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
+        helpers = [pool.submit(work, part) for part in range(1, parts)]
+        work(0)
+        for helper in helpers:
+            helper.result()
+
+
 def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
                 out_idx: np.ndarray, grid: np.ndarray | None = None,
                 innov_rows: np.ndarray | None = None):
@@ -559,8 +632,8 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     trajectory of the last one reuses its plan.  Trial i sends its
     standard-normal Theta0 or, given `grid`, the grid point of the message
     index 1..grid.size it draws after its noise block.  The batches run one
-    after another on the calling thread, each drawn, from SPLIT_STEPS steps
-    on, by one thread per usable CPU, so one batch of draws is alive at a
+    after another on the calling thread, each drawn in the parts _parts
+    gives its trials and steps, so one batch of draws is alive at a
     time; each batch reads the kernel's filter_batch afresh, so a wrapper
     installed between calls sees every batch.  Returns (plan, per-trial
     rows of the squared error at out_idx, terminal estimates, message
@@ -576,11 +649,10 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     sq_rows = np.empty((trials, out_idx.size))
     mtheta = np.empty(trials)
     sent = np.empty(trials, dtype=np.int64)
-    parts = _usable_cpus() if n >= SPLIT_STEPS else 1
     for lo in range(0, trials, BATCH_SIZE):
         hi = min(lo + BATCH_SIZE, trials)
         th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n,
-                                                        messages, parts)
+                                                        messages, _parts(hi - lo, n))
         if grid is not None:
             th0 = grid[sent[lo:hi] - 1]
         zeta0 = zeta0 * scheme.zeta_scale
@@ -599,8 +671,10 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     `traj` must come from the gain ODE for the same parameters with horizon
     at least cfg.horizon.  Results are bit-identical for a fixed
     (master_seed, cfg) however the trials are batched and however many
-    threads draw them.
+    threads draw them.  A run whose arrays would exceed physical memory
+    raises MemoryBudgetExceeded before it allocates them.
     """
+    _check_memory(cfg, innovations=return_innovations)
     n = cfg.steps
     out_idx = np.unique(np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64))
     innov_rows = np.empty((cfg.trials, n)) if return_innovations else None
@@ -638,13 +712,16 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     Message w in {1..M} maps to the equiprobable-cell Gaussian grid point
     Phi^{-1}((w - 1/2)/M); the decoder picks the grid point nearest the
     filter's terminal estimate.  The per-trial message index is drawn after
-    the standard noise block (one extra integer draw per trial).
+    the standard noise block (one extra integer draw per trial).  A run
+    whose arrays, grid included, would exceed physical memory raises
+    MemoryBudgetExceeded before it allocates them.
     """
     m_size = _integer("grid_size", grid_size)
     if m_size < 1:
         raise ValueError("grid_size must be at least 1")
     if m_size == 1:
         return 0.0
+    _check_memory(cfg, grid_size=m_size)
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
     out_idx = np.array([cfg.steps], dtype=np.int64)
@@ -661,11 +738,14 @@ def ljung_box(innovations: np.ndarray, lags: int = 20) -> np.ndarray:
     """Portmanteau whiteness statistic per trial (rows of `innovations`).
 
     Q = n(n+2) sum_{j<=L} r_j^2/(n-j); under whiteness Q ~ chi^2(L).  The
-    rows are worked through in blocks of about _LJUNG_BOX_BLOCK elements:
-    each block's squares and lagged products go into one reused scratch
-    buffer, so the arithmetic stays in cache.  Every row's sum is still one
+    rows are split into contiguous parts, one per usable CPU for a large
+    enough job (_parts), and each part works through its rows in blocks:
+    each block's squares and lagged products go into the part's own reused
+    scratch buffer, so the arithmetic stays in cache, and the parts share
+    one budget of _LJUNG_BOX_BLOCK elements.  Every row's sum is still one
     reduction over the same contiguous run of products, so the result is
-    bit-identical to forming each full product array.  Raises ValueError
+    bit-identical to forming each full product array, for any number of
+    parts.  Helper threads end before the call returns.  Raises ValueError
     unless lags is an integer with 1 <= lags < n and every row has a
     nonzero sum of squares.
     """
@@ -676,16 +756,24 @@ def ljung_box(innovations: np.ndarray, lags: int = 20) -> np.ndarray:
     lags = _integer("lags", lags)
     if lags < 1 or lags >= n:
         raise ValueError("lags must satisfy 1 <= lags < series length")
-    rows = max(1, _LJUNG_BOX_BLOCK // n)
-    scratch = np.empty((min(rows, m), n))
+    parts = _parts(m, n)
+    # the parts share one scratch budget, each working in its own block
+    rows = max(1, _LJUNG_BOX_BLOCK // (parts * n))
     # acf[j] holds each row's sum of v_k v_{k+j}; acf[0] the sum of squares
     acf = np.empty((lags + 1, m))
-    for lo in range(0, m, rows):
-        x = v[lo:lo + rows]
-        for j in range(lags + 1):
-            t = scratch[:x.shape[0], :n - j]
-            np.multiply(x[:, :n - j], x[:, j:], out=t)
-            np.add.reduce(t, axis=1, out=acf[j, lo:lo + rows])
+
+    def work(part: int) -> None:
+        a, b = m * part // parts, m * (part + 1) // parts
+        scratch = np.empty((min(rows, b - a), n))
+        for lo in range(a, b, rows):
+            hi = min(lo + rows, b)
+            x = v[lo:hi]
+            for j in range(lags + 1):
+                t = scratch[:hi - lo, :n - j]
+                np.multiply(x[:, :n - j], x[:, j:], out=t)
+                np.add.reduce(t, axis=1, out=acf[j, lo:hi])
+
+    _on_cpus(work, parts)
     den = acf[0]
     zero = np.flatnonzero(den == 0.0)
     if zero.size:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oucap.abel as abel
 from oucap import (
     AbelCoefficients,
     ChannelParams,
@@ -353,3 +354,17 @@ def test_integrate_abel_matches_solve_ivp_oracle(lam, kappa, power):
     if abs(lam + kappa) > 0.0:
         value = sk_rate_from_ode(integrate_abel(coeffs, horizon=50.0, step=0.05)).value
         assert abs(value - power * float(abel_solve_ivp(coeffs, 50.0, 0.05)[0][-1]) ** 2) < 1e-9
+
+
+def test_step_budget_counts_attempts_and_keeps_the_bits(monkeypatch):
+    # (-0.5, 1, 2) to horizon 50 takes 182 steps, none rejected: a budget of
+    # exactly 182 attempts gives the same trajectory, bit for bit, and one
+    # fewer gives up with NotConverged
+    coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 2.0))
+    free = integrate_abel(coeffs, horizon=50.0, step=0.05)
+    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 182)
+    capped = integrate_abel(coeffs, horizon=50.0, step=0.05)
+    assert np.array_equal(free.g, capped.g) and np.array_equal(free.log_a, capped.log_a)
+    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 181)
+    with pytest.raises(NotConverged, match="stability limit"):
+        integrate_abel(coeffs, horizon=50.0, step=0.05)

@@ -10,6 +10,8 @@ import jsonschema
 import pytest
 
 import oucap
+import oucap.abel as abel
+import oucap.simulate as simulate
 from oucap.cli import main
 
 
@@ -111,6 +113,32 @@ def test_failures_reach_the_user_as_errors_not_tracebacks(argv, code):
     assert proc.returncode == code
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_ode_step_budget_exits_three(capsys, monkeypatch):
+    # at P = 2e3 a horizon of 50 takes about 15 000 steps, past a budget of
+    # 1000 attempts; P = 2 takes 182
+    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 1000)
+    code = main(["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2e3",
+                 "--route", "ode"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "stability limit" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["capacity", *ODE_CHANNEL]) == 0
+
+
+def test_simulation_too_large_for_memory_exits_two(capsys, monkeypatch):
+    # physical memory patched to 1 MB: a run refused before it allocates
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 1 << 20)
+    code = main(["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2",
+                 "--steps", "2000", "--trials", "100"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "physical memory" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("spaced, joined", [

@@ -17,6 +17,7 @@ import oucap.simulate as simulate
 from oucap import (
     ChannelParams,
     FilterDivergence,
+    MemoryBudgetExceeded,
     OucapError,
     SimConfig,
     StationarityViolated,
@@ -240,8 +241,9 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     one = run_sk_scheme(P_STD, cfg, traj_std)
     err_one = decode_message(P_STD, dcfg, traj_std, grid_size=64)
     assert 0.0 < err_one < 1.0
-    # each batch's draws split over 1 and 4 threads, forced on at 300 steps
+    # each batch's draws split over 1 and 4 threads, forced on at 64 x 300
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     fill_trial = simulate._fill_trial
     drawers = set()
 
@@ -332,8 +334,10 @@ def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
 
     monkeypatch.setattr(kern, "filter_batch", spy)
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
-    for split_steps, parts in ((simulate.SPLIT_STEPS, 1), (0, 2)):
+    default = (simulate.SPLIT_STEPS, simulate.SPLIT_WORK)
+    for (split_steps, split_work), parts in ((default, 1), ((0, 0), 2)):
         monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+        monkeypatch.setattr(simulate, "SPLIT_WORK", split_work)
         for arr in simulate._draw_batch(cfg.master_seed, 3, 37, cfg.steps, 16, parts):
             assert arr.flags.c_contiguous
         handed.clear()
@@ -362,6 +366,7 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
     # its filtering stay on the calling thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
     original = simulate._fill_trial
     callers = set()
@@ -381,6 +386,7 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
 
 def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
@@ -389,6 +395,38 @@ def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
     assert threading.active_count() == before
     decode_message(P_STD, cfg, traj_std, grid_size=16)
     assert threading.active_count() == before
+
+
+def test_split_rule_repays_a_thread_start(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    # benchmark shapes: the batches of 512 x 1e4 and 64 x 1e5 and a
+    # Ljung-Box of 64 x 1e5 split; a CLI run of 50 x 1000 and the noise
+    # sampler's 1e4 x 200 do not
+    for rows, cols, parts in ((512, 10_000, 2), (64, 100_000, 2),
+                              (50, 1000, 1), (10_000, 200, 1), (50, 10_000, 1)):
+        assert simulate._parts(rows, cols) == parts
+    # never more parts than rows
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+    assert [simulate._parts(rows, 10**7) for rows in (1, 3, 20)] == [1, 3, 8]
+
+
+def test_short_run_on_two_cpus_draws_on_the_calling_thread(traj_std, monkeypatch):
+    # 50 trials x 1e4 steps, `oucap simulate --trials 50`, is too little
+    # work to repay a thread's start: two usable CPUs, yet no thread starts
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    original = simulate._fill_trial
+    callers = set()
+
+    def spy(*args):
+        callers.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(simulate, "_fill_trial", spy)
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("a thread was started"))
+    cfg = SimConfig(horizon=10.0, steps=10_000, trials=50, master_seed=5)
+    run_sk_scheme(P_STD, cfg, traj_std)
+    assert callers == {threading.get_ident()}
 
 
 def _contract_draws(seed, steps, messages):
@@ -458,6 +496,7 @@ def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
     batches = math.ceil(cfg.trials / simulate.BATCH_SIZE)
     monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     for width in (1, 2):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
         for run in (lambda: run_sk_scheme(P_STD, cfg, traj_std),
@@ -818,8 +857,9 @@ def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
     # the second pass splits each batch's draws over two threads, which must
     # fill the one batch of buffers rather than draw a batch each
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    for split_steps in (simulate.SPLIT_STEPS, 0):
+    for split_steps, split_work in ((simulate.SPLIT_STEPS, simulate.SPLIT_WORK), (0, 0)):
         monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+        monkeypatch.setattr(simulate, "SPLIT_WORK", split_work)
         for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
                     lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
             run(warm)  # one-off allocations of a first call are not per batch
@@ -867,7 +907,9 @@ def _series(m, n, seed=0):
 
 @pytest.mark.parametrize("m, n, lags, rows", [
     (1, 1000, 20, None),       # one row
+    (2, 600, 7, None),         # fewer rows than parts
     (7, 500, 1, 3),            # m not a multiple of the block's rows, lag 1
+    (11, 300, 5, 8),           # m not a multiple of parts x rows
     (5, 400, 399, 2),          # lag n - 1
     (40, 5000, 20, None),      # n below the block: 26 rows a block
     (3, simulate._LJUNG_BOX_BLOCK + 1000, 4, None),  # n above it: 1 row
@@ -876,9 +918,43 @@ def test_ljung_box_bit_identical_to_direct_oracle(monkeypatch, m, n, lags, rows)
     v = _series(m, n)
     if rows is not None:
         monkeypatch.setattr(simulate, "_LJUNG_BOX_BLOCK", rows * n)
-    assert np.array_equal(ljung_box(v, lags), direct_ljung_box(v, lags))
+    want = direct_ljung_box(v, lags)
+    assert np.array_equal(ljung_box(v, lags), want)
     # one series as a 1-D array is the one-row case
     assert np.array_equal(ljung_box(v[0], lags), direct_ljung_box(v[:1], lags))
+    # the rows split over 1, 2 and 3 parts, forced on at any size: the
+    # calling thread runs one part, and helper threads (one may run two
+    # parts, once it is free) the others
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
+    start = threading.Thread.start
+    started = []
+
+    def counted_start(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        started.clear()
+        assert np.array_equal(ljung_box(v, lags), want)
+        parts = min(cpus, m)
+        assert (parts > 1) == (len(started) > 0) and len(started) < parts
+        assert not any(thread.is_alive() for thread in started)
+
+
+def test_serial_ljung_box_starts_no_thread(monkeypatch):
+    # below the split thresholds, and for one row at any size, the rows
+    # stay on the calling thread
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("a thread was started"))
+    v = _series(40, 5000)
+    assert np.array_equal(ljung_box(v), direct_ljung_box(v, 20))
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
+    assert np.array_equal(ljung_box(v[:1]), direct_ljung_box(v[:1], 20))
 
 
 def test_ljung_box_works_in_one_block_of_scratch():
@@ -894,3 +970,80 @@ def test_ljung_box_works_in_one_block_of_scratch():
     # one block of scratch and a few (m,)-sized arrays, far below the
     # 6.4 MB of a single (m, n - 1) product array
     assert peak < simulate._LJUNG_BOX_BLOCK * 8 + 64 * m * 8 + 16_384
+
+
+def test_split_ljung_box_shares_one_block_of_scratch(monkeypatch):
+    # two parts each work in their own block, within the one budget
+    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    m, n = 16, 50_000
+    v = _series(m, n, seed=1)
+    ljung_box(v)
+    tracemalloc.start()
+    try:
+        ljung_box(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < simulate._LJUNG_BOX_BLOCK * 8 + 64 * m * 8 + 16_384
+
+
+def test_memory_estimate_bounds_the_traced_peak(traj_std):
+    # the estimate covers what each entry point really holds at its peak
+    for m, n in ((600, 2000), (1100, 300)):
+        cfg = SimConfig(horizon=10.0, steps=n, trials=m, master_seed=3)
+        for run, kwargs in (
+                (lambda: run_sk_scheme(P_STD, cfg, traj_std), {}),
+                (lambda: run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True),
+                 {"innovations": True}),
+                (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000),
+                 {"grid_size": 100_000}),
+                (lambda: stationary_arma_noise(P_STD, cfg), {"sampler": True})):
+            run()  # one-off allocations of a first call
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulate._check_memory(cfg, **kwargs)
+
+
+def test_oversize_run_is_refused_before_it_allocates(traj_std, monkeypatch):
+    # physical memory patched just below each estimate: every entry point
+    # raises the typed error before allocating its arrays
+    cfg = SimConfig(horizon=10.0, steps=3000, trials=600, master_seed=3)
+    for run, kwargs in (
+            (lambda: run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True),
+             {"innovations": True}),
+            (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000),
+             {"grid_size": 100_000}),
+            (lambda: stationary_arma_noise(P_STD, cfg), {"sampler": True})):
+        need = simulate._check_memory(cfg, **kwargs)
+        monkeypatch.setattr(simulate, "_physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded, match="physical memory"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # at the estimate itself, or where memory is unknown, the run goes ahead
+        for have in (need, None):
+            monkeypatch.setattr(simulate, "_physical_memory", lambda: have)
+            run()
+    assert issubclass(MemoryBudgetExceeded, OucapError)
+
+
+def test_physical_memory_comes_from_sysconf(monkeypatch):
+    assert simulate._physical_memory() > 0
+    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 10)
+    assert simulate._physical_memory() == 40960
+
+    def unknown(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert simulate._physical_memory() is None
