@@ -4,128 +4,108 @@ Four independent routes to the same number: the closed-form cubic root, the
 long-horizon limit of the scheme's gain ODE, the vanishing-step limit of the
 discrete ARMA(1,1) channel, and Monte Carlo simulation of the feedback
 scheme itself — plus non-feedback spectral baselines for comparison.
+
+The exports load on first use (PEP 562): `import oucap` imports no
+submodule, and a name imports only the submodule that defines it.  The
+closed-form and discrete routes, the regime and noise density at a scalar
+frequency, and the flat spectrum sweep run without numpy; the ODE route,
+the kernels and the Monte Carlo load it.  A submodule name such as
+`oucap.simulate` resolves to that submodule.
 """
+
+import importlib
 
 # the one version source: packaging reads it (pyproject.toml), as do the
 # CLI's --version and every run manifest
 __version__ = "0.1.0"
 
-from .abel import (
-    AbelCoefficients,
-    OdeTrajectory,
-    RootConvergence,
-    abel_for_channel,
-    abel_from_kernel,
-    classify_root_convergence,
-    integrate_abel,
-    limiting_cubic_roots,
-    sk_rate_from_ode,
-)
-from .capacity import (
-    ArmaParams,
-    DEFAULT_SWEEP_DELTAS,
-    DeltaSweep,
-    arma_from_step,
-    discrete_limit_capacity,
-    discrete_limit_sweep,
-    feedback_capacity_closed_form,
-    solve_arma_quartic,
-)
-from .channel import (
-    CapacityResult,
-    ChannelParams,
-    Regime,
-    Route,
-    classify_regime,
-    noise_sdf,
-)
-from .errors import (
-    FilterDivergence,
-    GridMismatch,
-    InvalidArma,
-    MemoryBudgetExceeded,
-    NotConverged,
-    OucapError,
-    RootNotBracketed,
-    StationarityViolated,
-    StepSizeUnderflow,
-)
-from .kernels import (
-    GridKernel,
-    SeparableKernel,
-    ou_resolvent_kernel,
-    recover_h_from_l,
-    resolvent_residual,
-    sample_kernel,
-)
-from .simulate import (
-    SimConfig,
-    SimReport,
-    arma_recursion_residual,
-    decode_message,
-    ljung_box,
-    run_sk_scheme,
-    stationary_arma_noise,
-)
-from .spectrum import (
-    InputSpectrum,
-    flat_input_limit_sweep,
-    p_max,
-    pinsker_rate,
-    waterfill_bandlimited,
-)
+# submodule -> the names it exports
+_EXPORTS = {
+    "abel": (
+        "AbelCoefficients",
+        "OdeTrajectory",
+        "RootConvergence",
+        "abel_for_channel",
+        "abel_from_kernel",
+        "classify_root_convergence",
+        "integrate_abel",
+        "limiting_cubic_roots",
+        "sk_rate_from_ode",
+    ),
+    "capacity": (
+        "ArmaParams",
+        "DEFAULT_SWEEP_DELTAS",
+        "DeltaSweep",
+        "arma_from_step",
+        "discrete_limit_capacity",
+        "discrete_limit_sweep",
+        "feedback_capacity_closed_form",
+        "solve_arma_quartic",
+    ),
+    "channel": (
+        "CapacityResult",
+        "ChannelParams",
+        "Regime",
+        "Route",
+        "classify_regime",
+        "noise_sdf",
+    ),
+    "errors": (
+        "FilterDivergence",
+        "GridMismatch",
+        "InvalidArma",
+        "MemoryBudgetExceeded",
+        "NotConverged",
+        "OucapError",
+        "RootNotBracketed",
+        "StationarityViolated",
+        "StepSizeUnderflow",
+    ),
+    "kernels": (
+        "GridKernel",
+        "SeparableKernel",
+        "ou_resolvent_kernel",
+        "recover_h_from_l",
+        "resolvent_residual",
+        "sample_kernel",
+    ),
+    "simulate": (
+        "SimConfig",
+        "SimReport",
+        "arma_recursion_residual",
+        "decode_message",
+        "ljung_box",
+        "run_sk_scheme",
+        "stationary_arma_noise",
+    ),
+    "spectrum": (
+        "InputSpectrum",
+        "flat_input_limit_sweep",
+        "p_max",
+        "pinsker_rate",
+        "waterfill_bandlimited",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AbelCoefficients",
-    "ArmaParams",
-    "CapacityResult",
-    "ChannelParams",
-    "DEFAULT_SWEEP_DELTAS",
-    "DeltaSweep",
-    "FilterDivergence",
-    "GridKernel",
-    "GridMismatch",
-    "InputSpectrum",
-    "InvalidArma",
-    "MemoryBudgetExceeded",
-    "NotConverged",
-    "OdeTrajectory",
-    "OucapError",
-    "Regime",
-    "RootConvergence",
-    "RootNotBracketed",
-    "Route",
-    "SeparableKernel",
-    "SimConfig",
-    "SimReport",
-    "StationarityViolated",
-    "StepSizeUnderflow",
-    "__version__",
-    "abel_for_channel",
-    "abel_from_kernel",
-    "arma_from_step",
-    "arma_recursion_residual",
-    "classify_regime",
-    "classify_root_convergence",
-    "decode_message",
-    "discrete_limit_capacity",
-    "discrete_limit_sweep",
-    "feedback_capacity_closed_form",
-    "flat_input_limit_sweep",
-    "integrate_abel",
-    "limiting_cubic_roots",
-    "ljung_box",
-    "noise_sdf",
-    "ou_resolvent_kernel",
-    "p_max",
-    "pinsker_rate",
-    "recover_h_from_l",
-    "resolvent_residual",
-    "run_sk_scheme",
-    "sample_kernel",
-    "sk_rate_from_ode",
-    "solve_arma_quartic",
-    "stationary_arma_noise",
-    "waterfill_bandlimited",
-]
+__all__ = sorted([*_MODULE_OF, "__version__"])
 
+
+def __getattr__(name: str):
+    """An export, from its submodule; else the submodule `name`; else
+    AttributeError."""
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    try:
+        return importlib.import_module(f".{name}", __name__)
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

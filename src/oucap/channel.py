@@ -11,8 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class Regime(enum.Enum):
     """Capacity regime of the channel.
@@ -100,6 +98,8 @@ def noise_sdf(params: ChannelParams, x):
     x = 0 in the special case lam = -kappa.  Out of float range it gives
     inf or nan with a RuntimeWarning, as numpy does.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     kappa = np.float64(params.kappa)
     c = kappa + params.lam

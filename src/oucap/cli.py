@@ -8,6 +8,9 @@ converge, 4 filter divergence.  Text output is
 human-oriented and unstable; CSV and JSON are the compatibility surface.
 When --out is given, data files are written together with a
 `.manifest.json` sidecar recording parameters, version, seed, and timestamp.
+The ODE route, simulate and the water-filling sweep import numpy where
+they run; `capacity --route closed|discrete` and `spectrum --sweep flat`
+never load it.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, report
-from .abel import abel_for_channel, integrate_abel, sk_rate_from_ode
 from .capacity import (
     DEFAULT_SWEEP_DELTAS,
     discrete_limit_capacity,
@@ -28,7 +28,6 @@ from .capacity import (
 )
 from .channel import ChannelParams
 from .errors import FilterDivergence, MemoryBudgetExceeded, OucapError
-from .simulate import SimConfig, run_sk_scheme
 from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
 
 ODE_HORIZON_DEFAULT = 50.0
@@ -168,6 +167,8 @@ def cmd_capacity(args, params: ChannelParams):
     if args.route in ("closed", "all"):
         results.append(feedback_capacity_closed_form(params))
     if args.route in ("ode", "all"):
+        from .abel import abel_for_channel, integrate_abel, sk_rate_from_ode
+
         coeffs = abel_for_channel(params)
         traj = integrate_abel(coeffs, horizon=args.horizon, step=args.horizon / 1000.0)
         results.append(sk_rate_from_ode(traj))
@@ -188,6 +189,9 @@ def cmd_capacity(args, params: ChannelParams):
 def cmd_simulate(args, params: ChannelParams):
     if params.power <= 0:
         raise ValueError("power must be positive for the simulation")
+    from .abel import abel_for_channel, integrate_abel
+    from .simulate import SimConfig, run_sk_scheme
+
     cfg = SimConfig(horizon=args.horizon, steps=args.steps, trials=args.trials,
                     master_seed=args.seed)
     coeffs = abel_for_channel(params)
@@ -209,6 +213,10 @@ def cmd_spectrum(args, params: ChannelParams):
     else:
         if not args.band > 0:
             raise ValueError("band must be positive")
+        # numpy's log10 and power differ from libm's in the last bit for
+        # some bands, so the grid stays numpy's
+        import numpy as np
+
         bands = np.geomspace(args.band / 100.0, args.band, 9)
         rows = []
         for w in bands:

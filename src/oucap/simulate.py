@@ -67,9 +67,7 @@ import math
 import operator
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -614,9 +612,14 @@ def _on_cpus(work, parts: int) -> None:
     """Run work(part) for part = 0..parts-1: part 0 on the calling thread,
     the others on up to parts - 1 helper threads started for this call.
     Returns once every part has ended and every helper has exited, and
-    re-raises a part's error."""
-    # an executor starts its threads on submit, so one part starts none
-    with ThreadPoolExecutor(max_workers=max(parts - 1, 1)) as pool:
+    re-raises a part's error.  One part runs without the thread machinery,
+    which is not even imported."""
+    if parts == 1:
+        work(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
         helpers = [pool.submit(work, part) for part in range(1, parts)]
         work(0)
         for helper in helpers:
@@ -722,6 +725,8 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     if m_size == 1:
         return 0.0
     _check_memory(cfg, grid_size=m_size)
+    from statistics import NormalDist
+
     inv_cdf = NormalDist().inv_cdf
     grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
     out_idx = np.array([cfg.steps], dtype=np.int64)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import ChannelParams, noise_sdf
 from .roots import bracketed_root
 
@@ -194,6 +192,8 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
         raise ValueError("band must be positive and finite")
     if not (math.isfinite(power) and power >= 0):
         raise ValueError("power must be nonnegative and finite")
+    import numpy as np
+
     with np.errstate(all="ignore"):  # a value out of float range is refused below
         s0, s_edge = noise_sdf(params, 0.0), noise_sdf(params, band)
     if not (math.isfinite(s0) and 0.0 < s_edge < math.inf):  # S_z(W) > 0 in exact terms

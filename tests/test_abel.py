@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,3 +369,27 @@ def test_step_budget_counts_attempts_and_keeps_the_bits(monkeypatch):
     monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 181)
     with pytest.raises(NotConverged, match="stability limit"):
         integrate_abel(coeffs, horizon=50.0, step=0.05)
+
+
+def test_accepted_steps_are_stored_as_doubles(monkeypatch):
+    # 16 doubles (128 bytes) a step, then its two dense-output tables (64
+    # bytes); a list of 16-float tuples took about 660 bytes a step here
+    coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 1e3))
+    accepted = []
+    stepper = abel._dormand_prince
+
+    def counted(*args):
+        out = stepper(*args)
+        accepted.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(abel, "_dormand_prince", counted)
+    integrate_abel(coeffs, horizon=50.0, step=0.05)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        integrate_abel(coeffs, horizon=50.0, step=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert accepted[-1] > 5000  # enough steps for the storage to dominate
+    assert peak / accepted[-1] < 300

@@ -1,6 +1,9 @@
-"""The runtime needs numpy and the standard library only: checked in fresh
-interpreters, no import, subcommand or public entry point loads any scipy
-module, and `import oucap` does not load importlib.metadata.
+"""The runtime needs the standard library, and numpy only where it builds
+arrays.  Checked in fresh interpreters: no import, subcommand or public
+entry point loads any scipy module; `import oucap` does not load
+importlib.metadata or numpy, and neither do the scalar subcommands; a cold
+simulation that runs on one thread does not load the thread pool; the lazy
+package exports bind every name of `__all__` and resolve submodules.
 """
 
 import os
@@ -122,6 +125,77 @@ def test_readme_cli_example_loads_no_scipy(argv, tmp_path):
 from oucap.cli import main
 assert main({argv!r}) == 0
 assert scipy_modules() == [], scipy_modules()
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+SCALAR_COMMANDS = (
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "closed"],
+    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "discrete"],
+    ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1", "--sweep", "flat"],
+)
+
+
+def test_import_loads_no_numpy():
+    out = run_fresh("""
+import oucap
+assert "numpy" not in sys.modules
+assert not [m for m in sys.modules if m.startswith("oucap.")], sorted(sys.modules)
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=(
+    "capacity-closed", "capacity-discrete", "spectrum-flat"))
+def test_scalar_command_loads_no_numpy(argv):
+    out = run_fresh(f"""
+from oucap.cli import main
+for fmt in ("text", "csv", "json"):
+    assert main({argv!r} + ["--format", fmt]) == 0
+assert "numpy" not in sys.modules
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+def test_cold_one_thread_simulation_loads_no_thread_pool():
+    # 50 trials x 1000 steps draw on one part, and simulate does not decode
+    out = run_fresh("""
+from oucap.cli import main
+assert main(["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2",
+             "--trials", "50", "--steps", "1000", "--seed", "0", "--format", "json"]) == 0
+assert "concurrent.futures" not in sys.modules
+assert "statistics" not in sys.modules
+print("ok")
+""")
+    assert out.rstrip().endswith("ok")
+
+
+def test_lazy_exports_bind_all_and_resolve_submodules():
+    out = run_fresh("""
+import oucap
+
+assert "oucap.backends" not in sys.modules
+backends = getattr(oucap, "backends")
+assert backends is sys.modules["oucap.backends"]
+assert callable(backends.get_backend)
+
+namespace = {}
+exec("from oucap import *", namespace)
+missing = [name for name in oucap.__all__ if name not in namespace]
+assert not missing, missing
+assert set(oucap.__all__) <= set(dir(oucap))
+assert oucap.noise_sdf is namespace["noise_sdf"]
+for name in ("available_backends", "no_such_name", "_no_such_module"):
+    try:
+        getattr(oucap, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(name)
+    assert getattr(oucap, name, None) is None
 print("ok")
 """)
     assert out.rstrip().endswith("ok")
