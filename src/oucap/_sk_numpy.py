@@ -35,6 +35,11 @@ _BLOCK = 20
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def _budget(m, n):
+    """Elements of scratch a batch of m trials of n steps works in."""
+    return max(_CHUNK_ELEMENTS, m * n // 32)
+
+
 def _width(rows):
     """Columns of a block map's product: its rows of output, padded with
     zero columns to a multiple of 8.  OpenBLAS rounds the last rows of a
@@ -180,7 +185,7 @@ def filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
     # cols each, and about 12 gathered coefficients per step); a run's noise
     # terms and their xi2 part take a quarter of it
     cols = 3 + 2 * _BLOCK
-    budget = max(_CHUNK_ELEMENTS, m * n // 32)
+    budget = _budget(m, n)
     per_chunk = max(1, budget // (cols * (_width(3 + _BLOCK) + 6) + 12 * _BLOCK))
     per_run = max(1, budget // (8 * m * width))
     record = {k: pos for pos, k in enumerate(out_idx.tolist())}

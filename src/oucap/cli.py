@@ -190,10 +190,12 @@ def cmd_simulate(args, params: ChannelParams):
     if params.power <= 0:
         raise ValueError("power must be positive for the simulation")
     from .abel import abel_for_channel, integrate_abel
-    from .simulate import SimConfig, run_sk_scheme
+    from .simulate import SimConfig, _check_memory, run_sk_scheme
 
     cfg = SimConfig(horizon=args.horizon, steps=args.steps, trials=args.trials,
                     master_seed=args.seed)
+    # before the trajectory, whose samples the estimate counts
+    _check_memory(cfg)
     coeffs = abel_for_channel(params)
     traj = integrate_abel(coeffs, horizon=cfg.horizon, step=cfg.horizon / max(cfg.steps, 200))
     rep = run_sk_scheme(params, cfg, traj)

@@ -25,8 +25,9 @@ are bit-identical regardless of batching or thread count.
 
 No generator is built per trial.  Child i is SeedSequence(master_seed,
 spawn_key=(i,)), and _seed_words runs NumPy's SeedSequence hash for every
-trial of a batch in one pass on uint32 arrays; PCG64's seeding step turns
-each trial's 4 words into its 128-bit state in Python ints, and each drawing
+trial of a batch in one pass on a uint32 array, one trial index per element
+(SimConfig keeps the indices below 2**32); PCG64's seeding step turns each
+trial's 4 words into its 128-bit state in Python ints, and each drawing
 thread keeps one PCG64 whose state it sets once per trial (_fill_trial).
 The states are bit for bit those of numpy's own construction.
 
@@ -51,10 +52,10 @@ batch's buffers.  The stationary noise sampler draws through the same batch
 path, all its trials as one batch with one row each, and ljung_box works
 through its rows in cache-sized blocks.  A batch's draws and ljung_box's
 rows are shared over the usable CPUs by one rule and one helper (_parts,
-_on_cpus) once the rows are long and the job is large enough to repay a
-thread's start (SPLIT_STEPS, SPLIT_WORK); each row is worked by one thread
-in the same order whatever the split, so the bits do not depend on it, and
-every helper thread ends before the call returns.
+_on_cpus) once the job is large enough to repay a thread's start
+(SPLIT_WORK); each row is worked by one thread in the same order whatever
+the split, so the bits do not depend on it, and every helper thread ends
+before the call returns.
 
 The gain curve reaches the simulation grid through a cubic Hermite spline
 written in numpy, and decode_message takes its message grid from the
@@ -71,8 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
-from ._sk_numpy import _CHUNK_ELEMENTS
+from . import _sk_numpy, backends
 from .abel import OdeTrajectory
 from .capacity import arma_from_step
 from .channel import ChannelParams
@@ -87,21 +87,17 @@ BATCH_SIZE = 512
 OUTPUT_POINTS = 101
 # A job of independent rows (a batch's draws, ljung_box's series) is split
 # over the usable CPUs, one part per CPU and at most one per row (_parts),
-# once its rows are SPLIT_STEPS long and it holds SPLIT_WORK elements.
-# SPLIT_STEPS: a normal fill releases the GIL only while it runs, and each
-# trial's state set-up holds it.  2 CPUs, 512 trials, one thread against
-# two, in a process that has drawn batch after batch: 0.0041 s against
-# 0.0080 s at 200 steps, 0.0088 s on both at 700, 0.0116 s against 0.0085 s
-# at 1000.
-SPLIT_STEPS = 2048
-# SPLIT_WORK: a helper thread's start, with the first touch of its share of
-# fresh buffers, costs a few ms, which a split must repay.  The first call
-# in fresh processes, 2 CPUs, medians of 7 to 9 processes, one part against
-# two: draws of 50 x 1e4 (`oucap simulate --trials 50`) 17.4 ms against
-# 24.4 ms, 200 x 1e4 46.9 against 49.5, 512 x 4096 50.1 against 50.9, 250 x
-# 1e4 56.4 against 56.8, 350 x 1e4 76.9 against 75.4, 400 x 1e4 87.1
-# against 81.8, 512 x 1e4 108 against 95; ljung_box of 32 x 1e5 37.9
-# against 38.3, 350 x 1e4 47.2 against 42.4, 48 x 1e5 57.2 against 43.2.
+# once it holds SPLIT_WORK elements: a helper thread's start, with the first
+# touch of its share of fresh buffers, costs a few ms, which a split must
+# repay.  The first call in fresh processes, 2 CPUs, medians of 7 to 9
+# processes, one part against two: draws of 50 x 1e4 (`oucap simulate
+# --trials 50`) 17.4 ms against 24.4 ms, 200 x 1e4 46.9 against 49.5, 512 x
+# 4096 50.1 against 50.9, 350 x 1e4 76.9 against 75.4, 512 x 1e4 108 against
+# 95; ljung_box of 32 x 1e5 37.9 against 38.3, 48 x 1e5 57.2 against 43.2.
+# A batch of BATCH_SIZE trials splits only from 6836 steps on, past the
+# short rows where each trial's set-up, which holds the GIL, outweighs its
+# fills; ljung_box's many short rows split as its few long ones do (4096 x
+# 1000 on 2 CPUs: 205-243 ms on one part, 108-123 ms on two).
 SPLIT_WORK = 3_500_000
 # Elements of the scratch block that ljung_box works through at a time
 # (1 MiB, which stays in a core's cache).
@@ -135,12 +131,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
+        # stored as Python ints, so that a numpy integer neither wraps nor
+        # warns in the seed hash's 32-bit arithmetic
         for name in ("steps", "trials", "master_seed"):
-            _integer(name, getattr(self, name))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.steps < 100:
             raise ValueError("steps must be at least 100")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        # trial indices stay one 32-bit word each (_seed_words)
+        if not 1 <= self.trials <= 2**32:
+            raise ValueError("trials must be between 1 and 2**32")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
 
@@ -237,15 +236,14 @@ def _absorb(pool: list, word, h: int) -> int:
 
 def _seed_words(master_seed: int, lo: int, hi: int) -> np.ndarray:
     """Row i - lo is SeedSequence(master_seed, spawn_key=(i,)).generate_state(4,
-    np.uint64), the words PCG64 seeds from, for trials i = lo..hi-1 in one pass.
+    np.uint64), the words PCG64 seeds from, for trials i = lo..hi-1 in one
+    pass; hi is at most 2**32, so that each index is one 32-bit word.
 
     The entropy is master_seed's words, padded with zeros to the pool size
-    (a spawn key follows), then the trial index's words.  The part common to
-    every trial is mixed once in Python ints; each trial's index words are
-    then mixed in on uint32 arrays, one trial per element, and the pool is
-    hashed out into 8 words read in pairs as little-endian uint64.  The hash
-    constants depend only on how many words the index has, so a window that
-    crosses 2**32 runs as two groups.
+    (a spawn key follows), then the trial index.  The part common to every
+    trial is mixed once in Python ints; the indices are then mixed in on a
+    uint32 array, one trial per element, and the pool is hashed out into 8
+    words read in pairs as little-endian uint64.
     """
     run = _words32(master_seed)
     run += [0] * (_POOL_SIZE - len(run))
@@ -261,24 +259,14 @@ def _seed_words(master_seed: int, lo: int, hi: int) -> np.ndarray:
                 pool[dst] = _mix(pool[dst], hashed)
     for word in run[_POOL_SIZE:]:
         h = _absorb(pool, word, h)
-    out = np.empty((hi - lo, 4), dtype=np.uint64)
-    a = lo
-    while a < hi:
-        k = max(1, -(-a.bit_length() // 32))
-        b = min(hi, 1 << 32 * k)
-        trial = np.arange(a, b, dtype=np.uint64 if b <= 1 << 64 else object)
-        mixer = [np.full(b - a, word, dtype=np.uint32) for word in pool]
-        hk = h
-        for j in range(k):
-            hk = _absorb(mixer, (trial >> 32 * j & _MASK32).astype(np.uint32), hk)
-        state = []
-        hb = _INIT_B
-        for i in range(8):
-            word, hb = _hashmix(mixer[i % _POOL_SIZE], hb, _MULT_B)
-            state.append(word)
-        out[a - lo:b - lo] = np.stack(state, axis=1).astype("<u4").view("<u8")
-        a = b
-    return out
+    mixer = [np.full(hi - lo, word, dtype=np.uint32) for word in pool]
+    _absorb(mixer, np.arange(lo, hi, dtype=np.uint32), h)
+    state = []
+    h = _INIT_B
+    for i in range(8):
+        word, h = _hashmix(mixer[i % _POOL_SIZE], h, _MULT_B)
+        state.append(word)
+    return np.stack(state, axis=1).astype("<u4").view("<u8")
 
 
 def _fill_trial(gen: np.random.Generator, words: np.ndarray, head: np.ndarray,
@@ -306,15 +294,6 @@ def _fill_trial(gen: np.random.Generator, words: np.ndarray, head: np.ndarray,
     return int(gen.integers(1, messages + 1)) if messages else 0
 
 
-def _draw_trial(master_seed: int, trial: int, steps: int, messages: int = 0):
-    """Trial `trial`'s standard draws, in contract order: (head of 2 normals,
-    xi of shape (2, steps), message index), the last an integer drawn
-    uniformly from 1..messages when messages > 0 and 0 (not drawn) otherwise.
-    Drawn by _draw_batch as a batch of one."""
-    th0, zeta0, xi1, xi2, sent = _draw_batch(master_seed, trial, trial + 1, steps, messages)
-    return np.array([th0[0], zeta0[0]]), np.stack((xi1[0], xi2[0])), int(sent[0])
-
-
 def _physical_memory() -> int | None:
     """Bytes of physical memory, from os.sysconf, or None where the
     platform does not say."""
@@ -331,9 +310,12 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
     physical memory.
 
     In doubles: for run_sk_scheme and decode_message (sampler False) the
-    plan's per-step arrays and their build, 16 (steps + 1); the per-trial
+    plan's per-step arrays and their build, 16 (steps + 1); the gain
+    trajectory sampled once a step, as `oucap simulate` integrates it, and
+    the plan's copy of it, 6 (steps + 2), which with the plan's 16 cover the
+    10 a sample that integrate_abel holds while it samples; the per-trial
     rows, trials (OUTPUT_POINTS + 3); one batch of draws, 2 steps + 8 per
-    trial of the batch; the kernel's scratch, twice its chunk budget; the
+    trial of the batch; the kernel's scratch, twice _sk_numpy._budget; the
     innovations, trials x steps, when kept; and decode_message's grid, 5 per
     message, for its array and the floats it is built from.  For
     stationary_arma_noise, 5 (steps, trials) arrays, as its recursion and
@@ -345,8 +327,8 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
         words = 5 * m * n + 16 * (n + m)
     else:
         batch = min(BATCH_SIZE, m)
-        words = (16 * (n + 1) + m * (OUTPUT_POINTS + 3) + batch * (2 * n + 8)
-                 + 2 * max(_CHUNK_ELEMENTS, batch * n // 32)
+        words = (16 * (n + 1) + 6 * (n + 2) + m * (OUTPUT_POINTS + 3)
+                 + batch * (2 * n + 8) + 2 * _sk_numpy._budget(batch, n)
                  + (m * n if innovations else 0) + 5 * grid_size)
     need = 8 * words
     have = _physical_memory()
@@ -601,9 +583,11 @@ def _usable_cpus() -> int:
 def _parts(rows: int, cols: int) -> int:
     """How many parts a job of `rows` independent rows of `cols` elements
     is split into: one per usable CPU, but never more than its rows, once
-    its rows are SPLIT_STEPS long and it holds SPLIT_WORK elements; else 1.
-    Read at each call, so the thresholds and _usable_cpus may be patched."""
-    if cols < SPLIT_STEPS or rows * cols < SPLIT_WORK:
+    it holds SPLIT_WORK elements; else 1.  A draw batch of BATCH_SIZE trials
+    splits only from 6836 steps on, and ljung_box's many short rows split
+    as its few long ones do.  Read at each call, so SPLIT_WORK and
+    _usable_cpus may be patched."""
+    if rows * cols < SPLIT_WORK:
         return 1
     return max(1, min(_usable_cpus(), rows))
 

@@ -1,5 +1,7 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked, and
+every private function of the package has a caller in the package."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -22,3 +24,21 @@ def test_no_ignored_file_is_tracked():
     listed = git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private helper that only tests call is code the package carries for
+    # nothing; a test reaches the package through what the package uses
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "oucap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert {name: where for name, where in defined.items() if name not in used} == {}

@@ -73,9 +73,9 @@ l = sample_kernel(kernel, horizon=4.0, n=101)
 resolvent_residual(recover_h_from_l(l), l)
 
 cfg = SimConfig(horizon=4.0, steps=200, trials=8, master_seed=1)
-from oucap.simulate import _draw_trial
-_, xi, _ = _draw_trial(cfg.master_seed, 0, cfg.steps)
-arma_recursion_residual(stationary_arma_noise(colored, cfg)[0], cfg.delta ** 0.5 * xi[0],
+from oucap.simulate import _draw_batch
+xi1 = _draw_batch(cfg.master_seed, 0, 1, cfg.steps, 0)[2]
+arma_recursion_residual(stationary_arma_noise(colored, cfg)[0], cfg.delta ** 0.5 * xi1[0],
                         colored, cfg.delta)
 rep = run_sk_scheme(colored, cfg, traj, return_innovations=True)
 ljung_box(rep.innovations)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -69,6 +70,26 @@ def test_config_validation():
             SimConfig(**{"horizon": 2.0, "steps": 200, "trials": 3, "master_seed": 1, **bad})
     assert SimConfig(horizon=2.0, steps=np.int64(200), trials=np.int32(3),
                      master_seed=np.uint64(1)).delta == 0.01
+    # trial indices are one 32-bit word each in the seed hash
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        SimConfig(horizon=1.0, steps=200, trials=2**32 + 1, master_seed=0)
+    assert SimConfig(horizon=1.0, steps=200, trials=2**32, master_seed=0).trials == 2**32
+
+
+@pytest.mark.parametrize("kind", [np.uint32, np.int64, np.uint64])
+def test_numpy_integer_config_runs_as_python_ints(traj_std, kind):
+    # numpy integers are stored as Python ints, so the seed hash neither
+    # overflows nor warns, and the bits are those of the Python-int run
+    cfg = SimConfig(horizon=2.0, steps=200, trials=6, master_seed=2**32 - 9)
+    np_cfg = SimConfig(horizon=2.0, steps=kind(200), trials=kind(6),
+                       master_seed=kind(2**32 - 9))
+    assert all(type(getattr(np_cfg, name)) is int for name in ("steps", "trials", "master_seed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_sk_scheme(P_STD, np_cfg, traj_std)
+        noise = stationary_arma_noise(P_STD, np_cfg)
+    assert got.mmse_emp.tobytes() == run_sk_scheme(P_STD, cfg, traj_std).mmse_emp.tobytes()
+    assert np.array_equal(noise, stationary_arma_noise(P_STD, cfg))
 
 
 def test_noise_path_white_case_is_pure_brownian():
@@ -242,7 +263,6 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     err_one = decode_message(P_STD, dcfg, traj_std, grid_size=64)
     assert 0.0 < err_one < 1.0
     # each batch's draws split over 1 and 4 threads, forced on at 64 x 300
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     fill_trial = simulate._fill_trial
     drawers = set()
@@ -264,13 +284,11 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     lo, hi, messages = 3, 70, 64
     th0, zeta0, xi1, xi2, sent = simulate._draw_batch(cfg.master_seed, lo, hi, cfg.steps,
                                                       messages, 2)
-    trials = [simulate._draw_trial(cfg.master_seed, i, cfg.steps, messages)
+    # each trial drawn alone, as a batch of one
+    trials = [simulate._draw_batch(cfg.master_seed, i, i + 1, cfg.steps, messages)
               for i in range(lo, hi)]
-    assert np.array_equal(th0, [head[0] for head, _, _ in trials])
-    assert np.array_equal(zeta0, [head[1] for head, _, _ in trials])
-    assert np.array_equal(xi1, [xi[0] for _, xi, _ in trials])
-    assert np.array_equal(xi2, [xi[1] for _, xi, _ in trials])
-    assert np.array_equal(sent, [message for _, _, message in trials])
+    for got, alone in zip((th0, zeta0, xi1, xi2, sent), zip(*trials)):
+        assert np.array_equal(got, np.concatenate(alone))
     assert 1 <= sent.min() < sent.max() <= messages
     monkeypatch.undo()
     monkeypatch.setattr(simulate, "BATCH_SIZE", 64)
@@ -334,9 +352,7 @@ def test_filter_gets_c_contiguous_buffers(traj_std, monkeypatch):
 
     monkeypatch.setattr(kern, "filter_batch", spy)
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
-    default = (simulate.SPLIT_STEPS, simulate.SPLIT_WORK)
-    for (split_steps, split_work), parts in ((default, 1), ((0, 0), 2)):
-        monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+    for split_work, parts in ((simulate.SPLIT_WORK, 1), (0, 2)):
         monkeypatch.setattr(simulate, "SPLIT_WORK", split_work)
         for arr in simulate._draw_batch(cfg.master_seed, 3, 37, cfg.steps, 16, parts):
             assert arr.flags.c_contiguous
@@ -365,7 +381,6 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
     # pinned to one CPU, a long-trial run starts no thread: its draws and
     # its filtering stay on the calling thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
     original = simulate._fill_trial
@@ -385,7 +400,6 @@ def test_one_usable_cpu_draws_on_the_calling_thread(traj_std, monkeypatch):
 
 
 def test_split_draws_leave_no_thread_behind(traj_std, monkeypatch):
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
@@ -408,6 +422,14 @@ def test_split_rule_repays_a_thread_start(monkeypatch):
     # never more parts than rows
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
     assert [simulate._parts(rows, 10**7) for rows in (1, 3, 20)] == [1, 3, 8]
+    # the work threshold alone keeps a draw batch with short rows, whose
+    # trials' set-up holds the GIL, on one part at any CPU count
+    assert simulate.SPLIT_WORK >= simulate.BATCH_SIZE * 2048
+    for cpus in (1, 2, 3, 8, 64):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        for rows in (1, 2, 100, simulate.BATCH_SIZE - 1, simulate.BATCH_SIZE):
+            assert all(simulate._parts(rows, cols) == 1
+                       for cols in (1, 100, 1000, 2000, 2047))
 
 
 def test_short_run_on_two_cpus_draws_on_the_calling_thread(traj_std, monkeypatch):
@@ -438,15 +460,16 @@ def _contract_draws(seed, steps, messages):
     return head, xi, int(g.integers(1, messages + 1)) if messages else 0
 
 
-SEED_WINDOWS = [(0, 70), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64 + 2)]
+# SimConfig keeps trial indices below 2**32, one 32-bit word each
+SEED_WINDOWS = [(0, 70), (2**32 - 4, 2**32)]
 
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1,
                                          2**200 + 3])
 def test_seed_words_and_draws_match_numpy(master_seed):
     # every trial's PCG64 state comes from one vectorised pass over the
-    # window; it must be numpy's own, including trial indices of two and
-    # three 32-bit words and master seeds longer than the pool
+    # window; it must be numpy's own, up to the last trial index and for
+    # master seeds longer than the pool
     steps, messages = 12, 40
     for lo, hi in SEED_WINDOWS:
         words = simulate._seed_words(master_seed, lo, hi)
@@ -495,7 +518,6 @@ def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
     monkeypatch.setattr(simulate, "BATCH_SIZE", 16)
     cfg = SimConfig(horizon=2.0, steps=200, trials=40, master_seed=5)
     batches = math.ceil(cfg.trials / simulate.BATCH_SIZE)
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     for width in (1, 2):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
@@ -857,8 +879,7 @@ def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
     # the second pass splits each batch's draws over two threads, which must
     # fill the one batch of buffers rather than draw a batch each
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    for split_steps, split_work in ((simulate.SPLIT_STEPS, simulate.SPLIT_WORK), (0, 0)):
-        monkeypatch.setattr(simulate, "SPLIT_STEPS", split_steps)
+    for split_work in (simulate.SPLIT_WORK, 0):
         monkeypatch.setattr(simulate, "SPLIT_WORK", split_work)
         for run in (lambda c: run_sk_scheme(P_STD, c, traj_std),
                     lambda c: decode_message(P_STD, c, traj_std, grid_size=64)):
@@ -913,20 +934,13 @@ def _series(m, n, seed=0):
     (5, 400, 399, 2),          # lag n - 1
     (40, 5000, 20, None),      # n below the block: 26 rows a block
     (3, simulate._LJUNG_BOX_BLOCK + 1000, 4, None),  # n above it: 1 row
+    (1800, 2000, 20, None),    # many short rows, split at the default threshold
 ])
 def test_ljung_box_bit_identical_to_direct_oracle(monkeypatch, m, n, lags, rows):
     v = _series(m, n)
     if rows is not None:
         monkeypatch.setattr(simulate, "_LJUNG_BOX_BLOCK", rows * n)
     want = direct_ljung_box(v, lags)
-    assert np.array_equal(ljung_box(v, lags), want)
-    # one series as a 1-D array is the one-row case
-    assert np.array_equal(ljung_box(v[0], lags), direct_ljung_box(v[:1], lags))
-    # the rows split over 1, 2 and 3 parts, forced on at any size: the
-    # calling thread runs one part, and helper threads (one may run two
-    # parts, once it is free) the others
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
-    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     start = threading.Thread.start
     started = []
 
@@ -935,6 +949,17 @@ def test_ljung_box_bit_identical_to_direct_oracle(monkeypatch, m, n, lags, rows)
         return start(self)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
+    # at the default threshold on 2 CPUs, a helper thread starts only for a
+    # job that _parts splits
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    assert np.array_equal(ljung_box(v, lags), want)
+    assert (len(started) > 0) == (simulate._parts(m, n) > 1) == (m * n >= simulate.SPLIT_WORK)
+    # one series as a 1-D array is the one-row case
+    assert np.array_equal(ljung_box(v[0], lags), direct_ljung_box(v[:1], lags))
+    # the rows split over 1, 2 and 3 parts, forced on at any size: the
+    # calling thread runs one part, and helper threads (one may run two
+    # parts, once it is free) the others
+    monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
         started.clear()
@@ -952,7 +977,6 @@ def test_serial_ljung_box_starts_no_thread(monkeypatch):
                         lambda self: pytest.fail("a thread was started"))
     v = _series(40, 5000)
     assert np.array_equal(ljung_box(v), direct_ljung_box(v, 20))
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     assert np.array_equal(ljung_box(v[:1]), direct_ljung_box(v[:1], 20))
 
@@ -974,7 +998,6 @@ def test_ljung_box_works_in_one_block_of_scratch():
 
 def test_split_ljung_box_shares_one_block_of_scratch(monkeypatch):
     # two parts each work in their own block, within the one budget
-    monkeypatch.setattr(simulate, "SPLIT_STEPS", 0)
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     m, n = 16, 50_000
@@ -1008,6 +1031,32 @@ def test_memory_estimate_bounds_the_traced_peak(traj_std):
             finally:
                 tracemalloc.stop()
             assert peak <= simulate._check_memory(cfg, **kwargs)
+
+
+def test_memory_estimate_covers_the_clis_trajectory():
+    # `oucap simulate` samples the gain ODE once a step before the run; at
+    # few trials and many steps the trajectory, and the plan's copy of it,
+    # are a large share of the peak
+    cfg = SimConfig(horizon=10.0, steps=20_000, trials=2, master_seed=3)
+    coeffs = abel_for_channel(P_STD)
+    run_sk_scheme(P_STD, cfg, make_traj(P_STD, cfg.horizon))  # one-off allocations
+    tracemalloc.start()
+    try:
+        traj = integrate_abel(coeffs, horizon=cfg.horizon, step=cfg.horizon / cfg.steps)
+        run_sk_scheme(P_STD, cfg, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate._check_memory(cfg)
+
+
+def test_memory_estimate_reads_the_kernels_scratch_budget(monkeypatch):
+    # the kernel's scratch rule is read at each call, from the kernel
+    cfg = SimConfig(horizon=10.0, steps=2000, trials=4, master_seed=3)
+    need = simulate._check_memory(cfg)
+    elements = backends._sk_numpy._CHUNK_ELEMENTS
+    monkeypatch.setattr(backends._sk_numpy, "_CHUNK_ELEMENTS", 4 * elements)
+    assert simulate._check_memory(cfg) == need + 8 * 2 * 3 * elements
 
 
 def test_oversize_run_is_refused_before_it_allocates(traj_std, monkeypatch):
