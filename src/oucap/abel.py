@@ -8,8 +8,8 @@ The coded input is X(t) = A(t)(Theta - E[Theta | observations]) with
     gain H(t) = sqrt(2) g(t) A(t)  (equivalently A + (1/l_d) int l_u A),
 
 where p = -l_d'/l_d and q = (l_u + l_d')/l_d come from the separable
-resolvent kernel.  The information rate of the scheme is P * r^2 for the
-root r of the limiting cubic that g(t) settles on.
+resolvent kernel.  The scheme's information rate is P * r^2 for the root r
+of the limiting cubic that g(t) settles on, bracketed and bisected.
 
 The ODE is integrated by a Dormand-Prince 5(4) stepper on Python floats, a
 port of scipy's RK45 (same tolerances, step control and dense output), so
@@ -28,12 +28,9 @@ import numpy as np
 from .channel import CapacityResult, ChannelParams, Route
 from .errors import NotConverged, StepSizeUnderflow
 from .kernels import SeparableKernel, ou_resolvent_kernel
+from .roots import cubic_roots
 
 SQRT2 = math.sqrt(2.0)
-
-ONE_REAL = "OneReal"
-THREE_DISTINCT = "ThreeDistinct"
-DOUBLE_ROOT = "DoubleRoot"
 
 
 @dataclass(frozen=True)
@@ -104,30 +101,17 @@ def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
     """Case label and ascending real roots of the limiting cubic
     -P y^3 + (P/sqrt 2) y^2 + p_limit y + q_limit/sqrt 2.
 
-    Discriminant-classified with relative tolerance 1e-9: positive ->
-    ThreeDistinct (three real roots), negative -> OneReal (one real root
-    returned), near zero -> DoubleRoot (all three real parts returned, the
-    repeated pair appearing twice).
+    roots.cubic_roots bisects each root on its bracket between the critical
+    points and labels the case from those sign changes (see there), on the
+    coefficients negated and scaled by the power of 2 that brings the
+    largest into [1/2, 1); a power below 2^-1022 of that raises ValueError.
     """
-    a, b, c, d = (-coeffs.power, coeffs.power / SQRT2,
-                  coeffs.p_limit, coeffs.q_limit / SQRT2)
-    if a == 0.0:
-        raise ValueError("power must be positive for the limiting cubic")
-    disc = (18.0 * a * b * c * d - 4.0 * b ** 3 * d + b * b * c * c
-            - 4.0 * a * c ** 3 - 27.0 * a * a * d * d)
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    disc_norm = disc / scale ** 4
-    roots = np.roots([a, b, c, d])
-    if abs(disc_norm) <= 1e-9:
-        case = DOUBLE_ROOT
-        real = np.sort(roots.real)
-    elif disc_norm > 0.0:
-        case = THREE_DISTINCT
-        real = np.sort(roots.real)
-    else:
-        case = ONE_REAL
-        real = np.array([roots[np.argmin(np.abs(roots.imag))].real])
-    return case, tuple(float(r) for r in real)
+    coefficients = (coeffs.power, -coeffs.power / SQRT2, -coeffs.p_limit, -coeffs.q_limit / SQRT2)
+    k = math.frexp(max(abs(x) for x in coefficients))[1]
+    a, b, c, d = (math.ldexp(x, -k) for x in coefficients)
+    if not a >= 2.0 ** -1022:
+        raise ValueError(f"power {coeffs.power!r} is too small for the limiting cubic")
+    return cubic_roots(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -364,13 +348,13 @@ def sk_rate_from_ode(traj: OdeTrajectory) -> CapacityResult:
 def classify_root_convergence(coeffs: AbelCoefficients,
                               horizon: float) -> RootConvergence:
     """Integrate to `horizon` and report which limiting-cubic root g
-    converged to, with the discriminant case label.
+    converged to, with the case label read from the cubic's sign changes.
 
     Raises NotConverged under the same window test as sk_rate_from_ode.
     """
     traj = integrate_abel(coeffs, horizon, horizon / 1000.0)
     _settled_tail(traj)
     case, roots = limiting_cubic_roots(coeffs)
-    idx = int(np.argmin([abs(r - traj.r_limit) for r in roots]))
+    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - traj.r_limit))
     return RootConvergence(case=case, roots=roots, root_index=idx)
 

@@ -4,8 +4,7 @@ Two independent routes to the same number:
 
 * ``feedback_capacity_closed_form`` — the capacity of the colored channel is
   the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, found by
-  Newton's method in plain floats; white-equivalent parameters give P/2
-  exactly.
+  bisection in plain floats; white-equivalent parameters give P/2 exactly.
 * ``discrete_limit_sweep`` — sample the channel at step delta, reduce it to a
   stationary ARMA(1,1) noise model, solve that model's quartic capacity
   equation, and divide by delta.  As delta -> 0 the rates converge to the
@@ -20,7 +19,7 @@ from typing import Sequence
 
 from .channel import CapacityResult, ChannelParams, Regime, Route, classify_regime
 from .errors import InvalidArma
-from .roots import bracketed_root
+from .roots import bracketed_root, cubic_roots
 
 
 @dataclass(frozen=True)
@@ -63,22 +62,16 @@ class DeltaSweep:
 def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
     """Feedback capacity in nats per unit time, closed-form route.
 
-    White-equivalent regime: P/2 with zero residual.  Colored-gain regime:
-    the unique positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, i.e. of
-    p(x) = 2x^3 + (4c-P)x^2 + (2c^2-2P kappa)x - P kappa^2 with
-    c = |kappa+lam| < kappa, by Newton's method from the upper bound
-    max(kappa, 2P).  The root is at least P/2, where p is already convex and
-    increasing, so the iterates fall monotonically onto it; the descent
-    stops when rounding ends it, which leaves the value accurate relative to
-    its own size for any P.  p is homogeneous of degree 3 in (x, P, kappa,
-    c), so the iterates run exactly scaled by the power of 2 that brings
-    max(P, kappa) into [1/2, 1), where nothing overflows; P/kappa below
-    about 2^-1022 raises ValueError.  The residual is the defining
-    polynomial at the root over its slope, the Newton step it asks for.
+    White-equivalent regime: P/2 with zero residual.  Colored gain: the
+    unique positive root of P(x+kappa)^2 = 2x(x+c)^2, c = |kappa+lam| < kappa,
+    the largest root of p(x) = 2x^3 + (4c-P)x^2 + (2c^2-2P kappa)x - P kappa^2,
+    bisected by roots.cubic_roots on inputs exactly scaled (p is homogeneous
+    of degree 3) by the power of 2 that brings max(P, kappa) into [1/2, 1);
+    P/kappa below about 2^-1022 raises ValueError.  The residual is |p|/p'
+    at the root, at least 4 ulp, the rounding the bisection can leave.
     """
     if classify_regime(params) is Regime.WHITE_EQUIVALENT:
-        return CapacityResult(value=params.power / 2.0,
-                              route=Route.CLOSED_FORM, residual=0.0)
+        return CapacityResult(value=params.power / 2.0, route=Route.CLOSED_FORM, residual=0.0)
     if params.power == 0.0:
         return CapacityResult(value=0.0, route=Route.CLOSED_FORM, residual=0.0)
     k = math.frexp(max(params.power, params.kappa))[1]
@@ -87,22 +80,13 @@ def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
         raise ValueError(f"power {params.power!r} is too small against kappa "
                          f"{params.kappa!r} for the closed form in double precision")
     c = math.ldexp(abs(params.kappa + params.lam), -k)
-    a2 = 4.0 * c - P
-    a1 = 2.0 * c * c - 2.0 * P * kappa
-    a0 = -P * kappa * kappa
-    # a root x > kappa would give 2x^3 <= P(x+kappa)^2 < 4P x^2, so x <= 2P
-    x = max(kappa, 2.0 * P)
-    while True:
-        slope = (6.0 * x + 2.0 * a2) * x + a1
-        x_new = x - (((2.0 * x + a2) * x + a1) * x + a0) / slope
-        if x_new < 0.5 * x:  # x - p/p' cancels: form it as one quotient
-            x_new = ((4.0 * x + a2) * x * x - a0) / slope
-        if not x_new < x:
-            break
-        x = x_new
-    residual = abs(P * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2) / slope
-    return CapacityResult(value=math.ldexp(x, k), route=Route.CLOSED_FORM,
-                          residual=math.ldexp(residual, k))
+    a2, a1 = 4.0 * c - P, 2.0 * c * c - 2.0 * P * kappa
+    x = cubic_roots(2.0, a2, a1, -P * kappa * kappa)[1][-1]
+    slope = (6.0 * x + 2.0 * a2) * x + a1
+    step = abs(P * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2) / slope
+    value = math.ldexp(x, k)
+    return CapacityResult(value=value, route=Route.CLOSED_FORM,
+                          residual=max(math.ldexp(step, k), 4.0 * math.ulp(value)))
 
 
 def _sgn(x: float) -> float:

@@ -61,9 +61,9 @@ class CapacityResult:
     """A capacity value in nats per unit time with route and diagnostics.
 
     residual is the route's accuracy diagnostic: the defining cubic at the
-    root for the closed form, the rate spread over the last tenth of the
-    horizon for the ODE limit, and the spread of the last two Richardson
-    values for the discrete limit.
+    root over its slope, at least 4 ulp, for the closed form; the rate spread
+    over the last tenth of the horizon for the ODE limit; the spread of the
+    last two Richardson values for the discrete limit.
     """
 
     value: float

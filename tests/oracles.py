@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the library's own numerics: plain
-bisection, direct quadrature of defining integrals where the library uses
-closed forms, scipy's integrators where the library has its own, and
-explicit closed forms, so agreement is evidence rather than tautology.
+bisection, exact rational arithmetic, direct quadrature of defining
+integrals where the library uses closed forms, scipy's integrators where
+the library has its own, and explicit closed forms, so agreement is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -42,43 +43,6 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def capacity_cubic_bisection(lam: float, kappa: float, power: float) -> float:
-    """Positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2 by bisection."""
-    c = abs(kappa + lam)
-
-    def f(x: float) -> float:
-        return power * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-    return bisect_root(f, 0.0, hi)
-
-
-def capacity_cubic_bisection_exhaustive(lam: float, kappa: float, power: float) -> float:
-    """Positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2, bisected until the
-    float interval stops shrinking, so its relative accuracy holds for any P."""
-    c = abs(kappa + lam)
-
-    def f(x: float) -> float:
-        return power * (x + kappa) ** 2 - 2.0 * x * (x + c) ** 2
-
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def capacity_cubic_exact(lam: float, kappa: float, power: float) -> float:
     """Positive root of P(x+kappa)^2 = 2x(x+|kappa+lam|)^2 to the nearest
     float, for any finite inputs: bisection over the ordered bit patterns
@@ -103,6 +67,20 @@ def capacity_cubic_exact(lam: float, kappa: float, power: float) -> float:
             hi = mid
     a, b = as_float(lo), as_float(hi)
     return a if abs(f(a)) <= abs(f(b)) else b
+
+
+def limiting_cubic_label_exact(coeffs) -> str:
+    """Case label of the limiting cubic -P y^3 + (P/sqrt 2) y^2 + p_limit y
+    + q_limit/sqrt 2, from the sign of the discriminant of its float
+    coefficients, computed exactly in rationals."""
+    root2 = math.sqrt(2.0)
+    a, b, c, d = (Fraction(x) for x in (-coeffs.power, coeffs.power / root2,
+                                        coeffs.p_limit, coeffs.q_limit / root2))
+    disc = (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+            - 4 * a * c ** 3 - 27 * a * a * d * d)
+    if disc > 0:
+        return "ThreeDistinct"
+    return "OneReal" if disc < 0 else "DoubleRoot"
 
 
 def arma_quartic_bisection(phi: float, theta: float, power: float) -> float:
@@ -208,18 +186,6 @@ def resolvent_residual_full(grid, H, L) -> float:
     inner = H @ L - 0.5 * (H * np.diag(L)[None, :] + np.diag(H)[:, None] * L)
     resid = H + L + dt * inner
     return float(np.max(np.abs(np.tril(resid))))
-
-
-def critical_cubic_root(power: float) -> float:
-    """Positive root of P(x+1)^2 = 2x^3 (critical coloring, kappa=1) by bisection."""
-
-    def f(x: float) -> float:
-        return power * (x + 1.0) ** 2 - 2.0 * x**3
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-    return bisect_root(f, 0.0, hi)
 
 
 def joseph_filter_coefficients(params, cfg, amp):

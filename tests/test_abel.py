@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oucap.abel as abel
 from oucap import (
     AbelCoefficients,
     ChannelParams,
     NotConverged,
+    Regime,
     Route,
     StepSizeUnderflow,
     abel_for_channel,
@@ -24,8 +27,9 @@ from oucap import (
 from oracles import (
     KernelDomainMismatch,
     abel_solve_ivp,
-    critical_cubic_root,
+    capacity_cubic_exact,
     gain_from_kernel,
+    limiting_cubic_label_exact,
     scaled_kernel,
 )
 
@@ -57,7 +61,7 @@ def test_limiting_coefficient_trajectory_matches_cubic_root():
     # kappa=1; the settled rate is the positive root of P(x+1)^2 = 2x^3
     traj = integrate_abel(constant_coefficients(0.0, 1.0, 2.0), horizon=50.0, step=0.05)
     value = sk_rate_from_ode(traj).value
-    assert value == pytest.approx(critical_cubic_root(2.0), abs=1e-8)
+    assert value == pytest.approx(capacity_cubic_exact(-1.0, 1.0, 2.0), abs=1e-8)
 
 
 def test_channel_coefficients_limits():
@@ -122,6 +126,58 @@ def test_limiting_cubic_one_real_case():
     assert 2.0 * roots[0] ** 2 == pytest.approx(
         feedback_capacity_closed_form(ChannelParams(-1.0, 1.0, 2.0)).value, rel=1e-9
     )
+
+
+def assert_root_is_the_capacity(params, roots):
+    # in the colored regime the largest root r has P r^2 = C_FB
+    closed = feedback_capacity_closed_form(params).value
+    assert abs(params.power * roots[-1] ** 2 - closed) <= 8.0 * math.ulp(closed)
+
+
+@pytest.mark.parametrize("power", [1e-12, 1e100, 1e300])
+def test_limiting_cubic_label_holds_at_extreme_powers(power):
+    # a fixed discriminant tolerance once called every channel DoubleRoot at
+    # P = 1e-12, and its fourth power of the coefficients overflowed
+    for lam in (-0.5, -1.0):
+        params = ChannelParams(lam, 1.0, power)
+        coeffs = abel_for_channel(params)
+        case, roots = limiting_cubic_roots(coeffs)
+        assert case == "OneReal" == limiting_cubic_label_exact(coeffs)
+        assert_root_is_the_capacity(params, roots)
+
+
+def test_limiting_cubic_at_power_far_below_the_coefficients():
+    params = ChannelParams(-1.0, 1.0, 1e-300)
+    case, roots = limiting_cubic_roots(abel_for_channel(params))
+    assert case == "OneReal"
+    assert_root_is_the_capacity(params, roots)
+    with pytest.raises(ValueError, match="power"):
+        limiting_cubic_roots(constant_coefficients(-1.0, 1.0, 0.0))
+
+
+# lam/kappa: colored, white with lam > 0 up to lam >> kappa, white below
+# -2 kappa, the two boundaries and the critical colouring
+LAM_OVER_KAPPA = st.one_of(
+    st.floats(min_value=-1.99, max_value=-0.01),
+    st.floats(min_value=-3.0, max_value=6.0).map(lambda u: 10.0 ** u),
+    st.floats(min_value=-3.0, max_value=6.0).map(lambda u: -2.0 - 10.0 ** u),
+    st.sampled_from([0.0, -2.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LAM_OVER_KAPPA, st.floats(min_value=-6.0, max_value=6.0),
+       st.floats(min_value=-12.0, max_value=12.0), st.integers(min_value=-60, max_value=60))
+def test_limiting_cubic_label_is_exact_and_scale_free(ratio, log10_kappa, log10_p_over_kappa, k):
+    kappa = 10.0 ** log10_kappa
+    params = ChannelParams(ratio * kappa, kappa, kappa * 10.0 ** log10_p_over_kappa)
+    coeffs = abel_for_channel(params)
+    case, roots = limiting_cubic_roots(coeffs)
+    assert case == limiting_cubic_label_exact(coeffs)
+    # the cubic is homogeneous in (lam, kappa, P): scaling by 2^k is exact
+    scaled = ChannelParams(*(math.ldexp(x, k) for x in (params.lam, params.kappa, params.power)))
+    assert limiting_cubic_roots(abel_for_channel(scaled)) == (case, roots)
+    if params.regime() is Regime.COLORED_GAIN:
+        assert_root_is_the_capacity(params, roots)
 
 
 def test_classified_convergence_for_positive_lam_below_half_power():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oucap import (
@@ -20,12 +20,7 @@ from oucap import (
 )
 from oucap.roots import bracketed_root
 
-from oracles import (
-    arma_quartic_bisection,
-    capacity_cubic_bisection,
-    capacity_cubic_bisection_exhaustive,
-    capacity_cubic_exact,
-)
+from oracles import arma_quartic_bisection, capacity_cubic_exact
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -49,7 +44,7 @@ def test_closed_form_frozen_values(triple, expected):
 @pytest.mark.parametrize("triple,_expected", FROZEN)
 def test_closed_form_agrees_with_bisection_oracle(triple, _expected):
     value = feedback_capacity_closed_form(ChannelParams(*triple)).value
-    assert value == pytest.approx(capacity_cubic_bisection(*triple), abs=1e-10)
+    assert value == pytest.approx(capacity_cubic_exact(*triple), abs=1e-10)
 
 
 def test_white_regime_is_half_power():
@@ -78,7 +73,7 @@ def test_cubic_residual_below_tolerance():
     # kappa at either extreme
     (-1e308, 1e308, 1e308), (-0.5e308, 1e308, 1e300), (-1e-300, 1e-300, 1e-300),
     (-0.5e-300, 1e-300, 2.0), (-1e-300, 1e-300, 1e308),
-    # power far below kappa, where a Newton step from the upper bound cancels
+    # power far below kappa, where the root is far below the bracket's start
     (-0.5, 1.0, 1e-20), (-0.5, 1.0, 1e-100), (-1.0, 1.0, 1e-300), (-0.5, 1e300, 1e-5),
 ])
 def test_closed_form_at_extreme_scales_matches_the_exact_root(triple):
@@ -124,8 +119,25 @@ def test_closed_form_relative_accuracy_over_power_decades(triple, log10_power):
     lam = -2.0 * kappa * frac
     power = 10.0 ** log10_power
     value = feedback_capacity_closed_form(ChannelParams(lam, kappa, power)).value
-    expected = capacity_cubic_bisection_exhaustive(lam, kappa, power)
+    expected = capacity_cubic_exact(lam, kappa, power)
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, **finite),
+       st.floats(min_value=-6.0, max_value=6.0, **finite),
+       st.floats(min_value=-9.0, max_value=9.0, **finite))
+@example(0.25, 0.0, -12.0)
+@example(0.5, 0.0, -300.0)
+@example(0.75, 300.0, -305.0)
+def test_closed_form_residual_bounds_its_error(frac, log10_kappa, log10_ratio):
+    # colored channels and both boundaries, log-uniform kappa and P/kappa;
+    # the residual's 4-ulp floor covers the float the bisection lands on
+    kappa = 10.0 ** log10_kappa
+    lam, power = -2.0 * kappa * frac, kappa * 10.0 ** log10_ratio
+    result = feedback_capacity_closed_form(ChannelParams(lam, kappa, power))
+    assert abs(result.value - capacity_cubic_exact(lam, kappa, power)) <= result.residual
+    assert result.residual <= 1e-15 * result.value
 
 
 @settings(max_examples=150, deadline=None)
