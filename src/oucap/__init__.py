@@ -7,9 +7,10 @@ scheme itself — plus non-feedback spectral baselines for comparison.
 
 The exports load on first use (PEP 562): `import oucap` imports no
 submodule, and a name imports only the submodule that defines it.  The
-closed-form and discrete routes, the regime and noise density at a scalar
-frequency, and the flat spectrum sweep run without numpy; the ODE route,
-the kernels and the Monte Carlo load it.  A submodule name such as
+three capacity routes (the ODE route through solve_abel), the regime, the
+noise density at a scalar frequency, both spectrum sweeps and the
+resolvent kernel's ratios run without numpy; sampling a trajectory
+(integrate_abel), the kernel grids and the Monte Carlo load it.  A submodule name such as
 `oucap.simulate` resolves to that submodule.
 """
 
@@ -23,6 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "abel": (
         "AbelCoefficients",
+        "AbelSolution",
         "OdeTrajectory",
         "RootConvergence",
         "abel_for_channel",
@@ -31,6 +33,7 @@ _EXPORTS = {
         "integrate_abel",
         "limiting_cubic_roots",
         "sk_rate_from_ode",
+        "solve_abel",
     ),
     "capacity": (
         "ArmaParams",

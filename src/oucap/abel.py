@@ -12,18 +12,19 @@ resolvent kernel.  The scheme's information rate is P * r^2 for the root r
 of the limiting cubic that g(t) settles on, bracketed and bisected.
 
 The ODE is integrated by a Dormand-Prince 5(4) stepper on Python floats, a
-port of scipy's RK45 (same tolerances, step control and dense output), so
-this module needs numpy and the standard library only.
+port of scipy's RK45 (same tolerances, step control and dense output).
+solve_abel stops there, and the rate and the root classification read its
+floats, so they run on the standard library alone; integrate_abel samples
+the steps' dense output on a uniform grid, and only it imports numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .channel import CapacityResult, ChannelParams, Route
 from .errors import NotConverged, StepSizeUnderflow
@@ -74,12 +75,35 @@ def abel_for_channel(params: ChannelParams) -> AbelCoefficients:
 
 
 @dataclass(frozen=True)
+class AbelSolution:
+    """The Abel ODE integrated to its horizon on floats, not yet sampled.
+
+    steps holds 16 doubles per accepted step: its start time, its size, g
+    and s = log A - log sqrt(P) at its start, and the six stage slopes of g
+    and of s.  r_limit is the stepper's own end state g(horizon).  g_tail is
+    its state at the last accepted step boundary at or before 0.9 horizon,
+    so the tail window from there to the horizon covers at least the last
+    tenth.  sk_rate_from_ode and classify_root_convergence read only these
+    scalars.
+    """
+
+    steps: array
+    power: float
+    horizon: float
+    r_limit: float
+    g_tail: float
+
+
+@dataclass(frozen=True)
 class OdeTrajectory:
     """Sampled solution of the Abel ODE with its amplitude curve.
 
     log_a stores log A(t) (A grows like e^{rate * t}, so the log is the
     primary representation); the `a` property exponentiates and may
-    overflow to inf for long horizons, by design.
+    overflow to inf for long horizons, by design.  r_limit and g_tail are
+    the AbelSolution's: r_limit is the stepper's end state g(T), which may
+    differ from the dense-output sample g[-1] in its last bits, and g_tail
+    the state at the last step boundary at or before 0.9 T.
     """
 
     times: np.ndarray
@@ -87,9 +111,12 @@ class OdeTrajectory:
     log_a: np.ndarray
     r_limit: float
     power: float
+    g_tail: float
 
     @property
     def a(self) -> np.ndarray:
+        import numpy as np
+
         return np.exp(self.log_a)
 
     @property
@@ -131,6 +158,8 @@ class RootConvergence:
 # and constants of scipy.integrate.RK45 (Hairer, Norsett & Wanner, Solving
 # ODEs I, Sec. II.4; Shampine, Math. Comp. 46 (1986) 135-150).  Stage 1
 # enters only the later stages, so its B, E and P entries are 0 and dropped.
+# _P, the dense output's coefficient rows, is only read by integrate_abel's
+# sampler, as a numpy matrix.
 _C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
 _A1 = 1 / 5
 _A2 = (3 / 40, 9 / 40)
@@ -139,17 +168,17 @@ _A4 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
 _A5 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
 _B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 
 
 # Attempted steps after which _dormand_prince gives up.  The explicit
@@ -166,10 +195,10 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
     atol + rtol max(|y|, |y_new|), safety 0.9, step factor in [0.2, 10], the
     same initial-step rule, first-same-as-last stages, and failure once the
     step falls below ten float spacings of t (StepSizeUnderflow) or after
-    _MAX_ATTEMPTS attempted steps (NotConverged).  Returns per accepted step the
-    start time, step, start state and the rows of the dense-output
-    polynomial y(t0 + x h) = y0 + h sum_m Q[m] x^(m+1) for g and for s.
-    The accepted steps are kept as 16 doubles each in one flat array.
+    _MAX_ATTEMPTS attempted steps (NotConverged).  Returns the accepted
+    steps, 16 doubles each in one flat array (start time, step, start state
+    and the six stage slopes of g and of s, from which the dense output is
+    built), and the end state g(t_bound).
     """
     P = power
     rtol, atol = 1e-10, 1e-12
@@ -254,29 +283,22 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
         steps.fromlist([t, h, g, s, kg, k2, k3, k4, k5, k6,
                         ks, ks2, ks3, ks4, ks5, ks6])
         t, g, s, kg, ks = t_new, g_new, s_new, k6, ks6
-    table = np.frombuffer(steps, dtype=float).reshape(-1, 16)
-    return (table[:, 0], table[:, 1], table[:, 2], table[:, 3],
-            table[:, 4:10] @ _P, table[:, 10:16] @ _P)
+    return steps, g
 
 
-def integrate_abel(coeffs: AbelCoefficients, horizon: float,
-                   step: float) -> OdeTrajectory:
-    """Integrate the Abel ODE over [0, horizon], sampled every `step`.
+def solve_abel(coeffs: AbelCoefficients, horizon: float) -> AbelSolution:
+    """Integrate the Abel ODE over [0, horizon] on floats, without sampling.
 
     Adaptive embedded Runge-Kutta 5(4) (Dormand-Prince) with relative
-    tolerance 1e-10 and absolute tolerance 1e-12, on Python floats; log A is
-    accumulated as an extra state so amplitude quadrature shares the
-    integrator's error control.  The samples come from each step's quartic
-    dense output.  r_limit = g(horizon); classify_root_convergence names the
-    limiting-cubic root it settles on.  A right-hand side that is not finite
-    or whose coefficients divide by zero, or a step size that underflows,
-    raises StepSizeUnderflow; a run that needs more than _MAX_ATTEMPTS
-    attempted steps (a power far above 3e4) raises NotConverged.
+    tolerance 1e-10 and absolute tolerance 1e-12; log A is accumulated as an
+    extra state so amplitude quadrature shares the integrator's error
+    control.  A right-hand side that is not finite or whose coefficients
+    divide by zero, or a step size that underflows, raises
+    StepSizeUnderflow; a run that needs more than _MAX_ATTEMPTS attempted
+    steps (a power far above 3e4) raises NotConverged.
     """
-    if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
-        raise ValueError("horizon and step must be positive and finite")
-    if step > horizon / 100.0:
-        raise ValueError(f"step must be <= horizon/100, got {step}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if coeffs.power <= 0:
         raise ValueError("power must be positive to integrate the scheme")
 
@@ -298,7 +320,34 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
             raise StepSizeUnderflow(f"non-finite right-hand side at t={t}")
         return d
 
-    t0, h, g0, s0, qg, qs = _dormand_prince(rhs, P, 1.0 / SQRT2, float(horizon))
+    horizon = float(horizon)
+    steps, g_end = _dormand_prince(rhs, P, 1.0 / SQRT2, horizon)
+    # the first step starts at 0, so some step starts at or before 0.9 horizon
+    i = bisect.bisect_right(steps[::16], 0.9 * horizon) - 1
+    return AbelSolution(steps=steps, power=P, horizon=horizon, r_limit=g_end,
+                        g_tail=steps[16 * i + 2])
+
+
+def integrate_abel(coeffs: AbelCoefficients, horizon: float,
+                   step: float) -> OdeTrajectory:
+    """Integrate the Abel ODE over [0, horizon] (solve_abel), sampled every
+    `step` from each accepted step's quartic dense output.
+
+    The trajectory carries the solution's r_limit and g_tail, so
+    sk_rate_from_ode gives the same bits on it as on solve_abel's result.
+    Non-finite samples raise StepSizeUnderflow.
+    """
+    if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
+        raise ValueError("horizon and step must be positive and finite")
+    if step > horizon / 100.0:
+        raise ValueError(f"step must be <= horizon/100, got {step}")
+    sol = solve_abel(coeffs, horizon)
+    import numpy as np
+
+    table = np.frombuffer(sol.steps, dtype=float).reshape(-1, 16)
+    t0, h, g0, s0 = table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+    dense_rows = np.array(_P, dtype=float)
+    qg, qs = table[:, 4:10] @ dense_rows, table[:, 10:16] @ dense_rows
     n = int(math.ceil(horizon / step))
     times = np.linspace(0.0, horizon, n + 1)
     # a sample on a step boundary takes the earlier step, as scipy's OdeSolution
@@ -312,36 +361,36 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
     g = dense(g0, qg)
     if not np.all(np.isfinite(g)):
         raise StepSizeUnderflow("non-finite solution samples")
-    log_a = 0.5 * math.log(P) + dense(s0, qs)
-    return OdeTrajectory(times=times, g=g, log_a=log_a, r_limit=float(g[-1]),
-                         power=P)
+    log_a = 0.5 * math.log(sol.power) + dense(s0, qs)
+    return OdeTrajectory(times=times, g=g, log_a=log_a, r_limit=sol.r_limit,
+                         power=sol.power, g_tail=sol.g_tail)
 
 
-def _settled_tail(traj: OdeTrajectory) -> int:
-    """Index of the 0.9-horizon sample, once |g(T) - g(0.9 T)| < 1e-8;
-    NotConverged otherwise."""
-    i = int(np.argmin(np.abs(traj.times - 0.9 * traj.horizon)))
-    gap = abs(traj.r_limit - float(traj.g[i]))
+def _check_settled(result: AbelSolution | OdeTrajectory) -> None:
+    """NotConverged unless |g(T) - g_tail| < 1e-8."""
+    gap = abs(result.r_limit - result.g_tail)
     if not gap < 1e-8:
         raise NotConverged(
             f"trajectory tail gap {gap:.3e} >= 1e-8 at horizon "
-            f"{traj.horizon}; integrate further")
-    return i
+            f"{result.horizon}; integrate further")
 
 
-def sk_rate_from_ode(traj: OdeTrajectory) -> CapacityResult:
-    """Information rate P * r_limit^2 of the feedback scheme.
+def sk_rate_from_ode(result: AbelSolution | OdeTrajectory) -> CapacityResult:
+    """Information rate P * r_limit^2 of the feedback scheme, from
+    solve_abel's result or integrate_abel's trajectory (the same bits).
 
-    Requires a settled trajectory: |g(T) - g(0.9 T)| < 1e-8, else
-    NotConverged.  residual reports |value - P g(0.9 T)^2|, the window
-    spread mapped to rate units.  In the colored-gain regime the value is
-    the channel capacity; otherwise it is the scheme's rate, a strict
-    lower bound of P/2.
+    Requires a settled solution: |g(T) - g_tail| < 1e-8, where g_tail is
+    the state at the last accepted step boundary at or before 0.9 T, else
+    NotConverged.  residual reports |value - P g_tail^2|, the spread over
+    that tail window (at least the last tenth of the horizon) mapped to
+    rate units.  In the colored-gain regime the value is the channel
+    capacity; otherwise it is the scheme's rate, a strict lower bound of
+    P/2.
     """
-    i = _settled_tail(traj)
-    P = traj.power
-    value = P * traj.r_limit ** 2
-    residual = abs(value - P * float(traj.g[i]) ** 2)
+    _check_settled(result)
+    P = result.power
+    value = P * result.r_limit ** 2
+    residual = abs(value - P * result.g_tail ** 2)
     return CapacityResult(value=value, route=Route.ODE_LIMIT, residual=residual)
 
 
@@ -352,9 +401,9 @@ def classify_root_convergence(coeffs: AbelCoefficients,
 
     Raises NotConverged under the same window test as sk_rate_from_ode.
     """
-    traj = integrate_abel(coeffs, horizon, horizon / 1000.0)
-    _settled_tail(traj)
+    sol = solve_abel(coeffs, horizon)
+    _check_settled(sol)
     case, roots = limiting_cubic_roots(coeffs)
-    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - traj.r_limit))
+    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - sol.r_limit))
     return RootConvergence(case=case, roots=roots, root_index=idx)
 

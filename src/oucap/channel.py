@@ -62,7 +62,8 @@ class CapacityResult:
 
     residual is the route's accuracy diagnostic: the defining cubic at the
     root over its slope, at least 4 ulp, for the closed form; the rate spread
-    over the last tenth of the horizon for the ODE limit; the spread of the
+    from the last ODE step boundary at or before 0.9 of the horizon to its
+    end (at least the last tenth) for the ODE limit; the spread of the
     last two Richardson values for the discrete limit.
     """
 
@@ -95,9 +96,18 @@ def noise_sdf(params: ChannelParams, x):
     S_z(x) = (x^2 + (kappa+lam)^2) / (2*pi*(x^2 + kappa^2)).
 
     Accepts scalars or arrays.  S_z is even, bounded, and vanishes only at
-    x = 0 in the special case lam = -kappa.  Out of float range it gives
-    inf or nan with a RuntimeWarning, as numpy does.
+    x = 0 in the special case lam = -kappa.  A Python int or float x
+    (np.float64 included) is computed with math and returns a float with
+    the bits of the array path.  Out of float range that path returns inf
+    or nan with no warning, and raises ZeroDivisionError where
+    x^2 + kappa^2 underflows to 0; an array gives inf or nan there with a
+    RuntimeWarning, as numpy does.
     """
+    if isinstance(x, (int, float)):
+        x, kappa = float(x), params.kappa
+        c = kappa + params.lam
+        # products, not **, which raises OverflowError where numpy gives inf
+        return (x * x + c * c) / (2.0 * math.pi * (x * x + kappa * kappa))
     import numpy as np
 
     x = np.asarray(x, dtype=float)

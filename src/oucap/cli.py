@@ -8,14 +8,14 @@ converge, 4 filter divergence.  Text output is
 human-oriented and unstable; CSV and JSON are the compatibility surface.
 When --out is given, data files are written together with a
 `.manifest.json` sidecar recording parameters, version, seed, and timestamp.
-The ODE route, simulate and the water-filling sweep import numpy where
-they run; `capacity --route closed|discrete` and `spectrum --sweep flat`
-never load it.
+Only simulate loads numpy: every capacity route and both spectrum sweeps
+run on Python floats.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -167,11 +167,9 @@ def cmd_capacity(args, params: ChannelParams):
     if args.route in ("closed", "all"):
         results.append(feedback_capacity_closed_form(params))
     if args.route in ("ode", "all"):
-        from .abel import abel_for_channel, integrate_abel, sk_rate_from_ode
+        from .abel import abel_for_channel, sk_rate_from_ode, solve_abel
 
-        coeffs = abel_for_channel(params)
-        traj = integrate_abel(coeffs, horizon=args.horizon, step=args.horizon / 1000.0)
-        results.append(sk_rate_from_ode(traj))
+        results.append(sk_rate_from_ode(solve_abel(abel_for_channel(params), args.horizon)))
     if args.route in ("discrete", "all"):
         results.append(discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS))
     max_disc = None
@@ -213,19 +211,22 @@ def cmd_spectrum(args, params: ChannelParams):
         rows = flat_input_limit_sweep(params, FLAT_N_DEFAULT, FLAT_K_DEFAULT)
         header = ["n", "k", "rate", "analytic_limit"]
     else:
-        if not args.band > 0:
-            raise ValueError("band must be positive")
-        # numpy's log10 and power differ from libm's in the last bit for
-        # some bands, so the grid stays numpy's
-        import numpy as np
-
-        bands = np.geomspace(args.band / 100.0, args.band, 9)
+        band = args.band
+        if not band / 100.0 > 0:
+            raise ValueError(f"band must be positive and at least 100 times the "
+                             f"smallest float, got {band!r}")
+        # numpy's geomspace(band / 100, band, 9) on libm: exact endpoints and
+        # 10^(lo + i (hi - lo)/8) between them
+        lo, hi = math.log10(band / 100.0), math.log10(band)
+        step = (hi - lo) / 8
+        bands = [band / 100.0, *(10.0 ** (lo + i * step) for i in range(1, 8)), band]
         rows = []
         for w in bands:
-            level, rate = waterfill_bandlimited(params, float(w), params.power)
+            level, rate = waterfill_bandlimited(params, w, params.power)
             # quartering P and w gives the same bits, and pi P cannot overflow
-            flat_noise = (w / (2.0 * np.pi)) * np.log1p(np.pi * (0.25 * params.power) / (0.25 * w))
-            rows.append((float(w), level, rate, float(flat_noise)))
+            flat_noise = (w / (2.0 * math.pi)) * math.log1p(
+                math.pi * (0.25 * params.power) / (0.25 * w))
+            rows.append((w, level, rate, flat_noise))
         header = ["band", "level", "rate", "analytic_limit"]
     payloads = {
         "text": report.spectrum_text(args.sweep, header, rows),

@@ -11,7 +11,9 @@ with l available in separable form l(s,u) = l_u(u) / l_d(s) for this channel
 family.  This module builds the channel's l, samples kernels on uniform
 grids, recovers h from l in panels of BLAS products, and measures the
 identity residual (using the *other* line of the identity than the solver, so
-the round trip is a genuine cross-check).
+the round trip is a genuine cross-check).  The resolvent kernel's ratio
+callables, all the ODE route reads, are plain math: numpy is imported only
+where a grid is built or sampled.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .channel import ChannelParams
 from .errors import GridMismatch
@@ -61,6 +61,8 @@ class GridKernel:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         grid = np.asarray(self.grid, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
@@ -95,7 +97,7 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     -4 kappa (kappa+lam) and l_d' has the same sign, so l_d only moves away
     from zero.  In floats it can: once kappa falls below about 5e-17 |lam|,
     the ratios' denominator rounds to zero at t = 0, and they raise
-    ZeroDivisionError there (integrate_abel reports StepSizeUnderflow).
+    ZeroDivisionError there (solve_abel reports StepSizeUnderflow).
     alpha and beta follow the large-time limits of l_u/l_d and l_d'/l_d.
 
     The ratio callables are algebraically normalized so they stay finite
@@ -107,8 +109,16 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     lam, kap = params.lam, params.kappa
     a = kap + lam
     if a == 0.0:
-        l_u = lambda u: kap * (kap * np.asarray(u, dtype=float) + 1.0)
-        l_d = lambda s: kap * np.asarray(s, dtype=float) + 2.0
+        def l_u(u):
+            import numpy as np
+
+            return kap * (kap * np.asarray(u, dtype=float) + 1.0)
+
+        def l_d(s):
+            import numpy as np
+
+            return kap * np.asarray(s, dtype=float) + 2.0
+
         return SeparableKernel(
             l_u=l_u, l_d=l_d, alpha=kap, beta=0.0,
             lu_over_ld=lambda t: kap * (kap * t + 1.0) / (kap * t + 2.0),
@@ -116,10 +126,14 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     b = 2.0 * kap + lam
 
     def l_u(u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         return lam * b * b * np.exp(a * u) + lam * lam * b * np.exp(-a * u)
 
     def l_d(s):
+        import numpy as np
+
         s = np.asarray(s, dtype=float)
         return lam * lam * np.exp(-a * s) - b * b * np.exp(a * s)
 
@@ -146,6 +160,8 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
 def sample_kernel(kernel: SeparableKernel, horizon: float, n: int) -> GridKernel:
     """GridKernel of l(s,u) = l_u(u)/l_d(s) on n uniform points of [0, horizon],
     divided on the lower triangle only, so nothing above it can overflow."""
+    import numpy as np
+
     grid = np.linspace(0.0, horizon, n)
     l_u, l_d = (np.asarray(f(grid), dtype=float) for f in (kernel.l_u, kernel.l_d))
     vals = np.divide(l_u, l_d[:, None], out=np.zeros((n, n)), where=np.tri(n, dtype=bool))
@@ -163,6 +179,8 @@ def resolvent_residual(h: GridKernel, l: GridKernel) -> float:
     (a third of the flops of the full product); like both kernels, each
     panel is exactly zero above the diagonal.
     """
+    import numpy as np
+
     if h.grid.shape != l.grid.shape or not np.array_equal(h.grid, l.grid):
         raise GridMismatch("h and l must share one grid")
     dt, H, L = h.step, h.values, l.values
@@ -186,6 +204,8 @@ def recover_h_from_l(l: GridKernel) -> GridKernel:
     finishes it.  With dt max|L| about 1e-2 (criterion 7), h is within
     1e-15 max|h| of row-by-row substitution.  A singular M raises ValueError.
     """
+    import numpy as np
+
     dt, L = l.step, l.values
     diag_m = 1.0 + 0.5 * dt * np.diag(L)
     if not np.all(diag_m):

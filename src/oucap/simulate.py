@@ -64,6 +64,7 @@ standard library's normal quantile, so simulation needs no scipy.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 import os
@@ -311,9 +312,9 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
 
     In doubles: for run_sk_scheme and decode_message (sampler False) the
     plan's per-step arrays and their build, 16 (steps + 1); the gain
-    trajectory sampled once a step, as `oucap simulate` integrates it, and
-    the plan's copy of it, 6 (steps + 2), which with the plan's 16 cover the
-    10 a sample that integrate_abel holds while it samples; the per-trial
+    trajectory sampled once a step, as `oucap simulate` integrates it,
+    3 (steps + 2), which with the plan's 16 covers the 10 a sample that
+    integrate_abel holds while it samples; the per-trial
     rows, trials (OUTPUT_POINTS + 3); one batch of draws, 2 steps + 8 per
     trial of the batch; the kernel's scratch, twice _sk_numpy._budget; the
     innovations, trials x steps, when kept; and decode_message's grid, 5 per
@@ -327,7 +328,7 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
         words = 5 * m * n + 16 * (n + m)
     else:
         batch = min(BATCH_SIZE, m)
-        words = (16 * (n + 1) + 6 * (n + 2) + m * (OUTPUT_POINTS + 3)
+        words = (16 * (n + 1) + 3 * (n + 2) + m * (OUTPUT_POINTS + 3)
                  + batch * (2 * n + 8) + 2 * _sk_numpy._budget(batch, n)
                  + (m * n if innovations else 0) + 5 * grid_size)
     need = 8 * words
@@ -500,32 +501,40 @@ class _Scheme:
     coeffs: tuple
 
 
-# (scalars, trajectory copy, plan) of the last plan _prepare_scheme built,
-# or None
+# (scalars, trajectory digest, plan) of the last plan _prepare_scheme
+# built, or None
 _last_plan = None
+
+
+def _trajectory_digest(traj: OdeTrajectory) -> bytes:
+    """sha256 of the shape, dtype and bytes of the trajectory's times, g and
+    log_a as float arrays: equal only for the same bits, so -0.0 and 0.0
+    differ, and a trajectory changed in place gets a new digest."""
+    digest = hashlib.sha256()
+    for a in (traj.times, traj.g, traj.log_a):
+        a = np.ascontiguousarray(a, dtype=float)
+        digest.update(f"{a.shape}{a.dtype.str};".encode())
+        digest.update(a)
+    return digest.digest()
 
 
 def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) -> _Scheme:
     """The plan for (params, cfg.horizon, cfg.steps, traj): the last one
     built when the bits of everything it reads match, else a new one, which
     then replaces it: lam, kappa, P, the horizon and the trajectory's power
-    (so -0.0 and 0.0 differ), the steps, and the trajectory's times, g and
-    log_a, compared against a private copy kept with the plan, so that a
-    trajectory changed in place gets a new plan.  Neither cfg.trials nor
+    (so -0.0 and 0.0 differ), the steps, and the digest of the trajectory's
+    times, g and log_a, taken again at each call, so that a trajectory
+    changed in place gets a new plan.  Neither cfg.trials nor
     cfg.master_seed enters the plan."""
     global _last_plan
     scalars = (struct.pack("<5d", params.lam, params.kappa, params.power, cfg.horizon, traj.power),
                cfg.steps)
-    arrays = [np.asarray(a, dtype=float) for a in (traj.times, traj.g, traj.log_a)]
+    digest = _trajectory_digest(traj)
     last = _last_plan
-    # arrays compared as 64-bit words, so that only the same bits match
-    if last is not None and last[0] == scalars and all(
-            np.array_equal(kept.view(np.uint64), a.view(np.uint64))
-            for kept, a in zip(last[1], arrays)):
+    if last is not None and last[0] == scalars and last[1] == digest:
         return last[2]
-    # the old plan and its trajectory copy go before the new ones are built
+    # the old plan goes before the new one is built
     last = _last_plan = None
-    kept = tuple(a.copy() for a in arrays)
     n = cfg.steps
     delta = cfg.delta
     times = np.arange(n + 1) * delta
@@ -542,7 +551,7 @@ def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) 
               u, sqrt_delta, params.lam * delta, rho / sqrt_delta, c2)
     plan = _Scheme(times=times, log_amp=log_amp, amp=amp, var_theta=var_theta,
                    zeta_scale=1.0 / math.sqrt(2.0 * params.kappa), coeffs=coeffs)
-    _last_plan = (scalars, kept, plan)
+    _last_plan = (scalars, digest, plan)
     return plan
 
 
@@ -663,7 +672,10 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     """
     _check_memory(cfg, innovations=return_innovations)
     n = cfg.steps
-    out_idx = np.unique(np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64))
+    idx = np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64)
+    # the rounded indices never decrease, so the distinct ones are those
+    # above their predecessor (np.unique would import numpy.ma)
+    out_idx = idx[np.diff(idx, prepend=-1) > 0]
     innov_rows = np.empty((cfg.trials, n)) if return_innovations else None
     scheme, sq_rows, _, _ = _run_trials(params, cfg, traj, out_idx,
                                         innov_rows=innov_rows)

@@ -192,11 +192,13 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
         raise ValueError("band must be positive and finite")
     if not (math.isfinite(power) and power >= 0):
         raise ValueError("power must be nonnegative and finite")
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # a value out of float range is refused below
+    try:
         s0, s_edge = noise_sdf(params, 0.0), noise_sdf(params, band)
-    if not (math.isfinite(s0) and 0.0 < s_edge < math.inf):  # S_z(W) > 0 in exact terms
+        # S_z(W) > 0 in exact terms
+        in_range = math.isfinite(s0) and 0.0 < s_edge < math.inf
+    except ZeroDivisionError:  # kappa^2 underflows to 0
+        in_range = False
+    if not in_range:
         raise ValueError(f"the noise density leaves the float range on the band {band!r}")
     s_min, s_max = min(s0, s_edge), max(s0, s_edge)
     if power == 0.0:

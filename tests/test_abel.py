@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from oucap import (
     limiting_cubic_roots,
     ou_resolvent_kernel,
     sk_rate_from_ode,
+    solve_abel,
 )
 
 from oracles import (
@@ -436,7 +438,7 @@ def test_accepted_steps_are_stored_as_doubles(monkeypatch):
 
     def counted(*args):
         out = stepper(*args)
-        accepted.append(out[0].size)
+        accepted.append(len(out[0]) // 16)  # 16 doubles a step
         return out
 
     monkeypatch.setattr(abel, "_dormand_prince", counted)
@@ -449,3 +451,50 @@ def test_accepted_steps_are_stored_as_doubles(monkeypatch):
         tracemalloc.stop()
     assert accepted[-1] > 5000  # enough steps for the storage to dominate
     assert peak / accepted[-1] < 300
+
+
+# sha256 of integrate_abel's times, g and log_a at horizon 50, step 0.05.
+# The Monte Carlo reads these arrays, so a stepper or sampler change that
+# moves their bits moves every seeded simulation and is a declared
+# numerics change.
+TIMES_SHA256 = "6c4c6f24aec2ec700256bb991a3f5db1543a97a94199c4a5e2eb62d995b90036"
+TRAJECTORY_SHA256 = {
+    (-0.5, 1.0, 2.0): (  # colored
+        "f5b5f403c3f281065fc3fdb1e245aa947ea6439595b4338932f6d8c5b230814a",
+        "e2b8055e927e10b258c8c3907d72e3049d56bad9475ebf7060849422a654edfd"),
+    (-1.0, 1.0, 2.0): (  # critical colouring, not settled at 50
+        "436a54c4ea5db982226029dd9a8f7964496f8a4f0c1f01762fc292c6dccc102b",
+        "b3d5288384f27c080459853751e246fa2c83fd5cedf0cd52acd713c575262276"),
+    (0.5, 1.0, 2.0): (  # white-equivalent
+        "13f9d74e72a3136669e4009cfa1317beddb438b7875103791640259634596590",
+        "4333c31fdca612e673d6e05b977b382d7c2ddbdf2909743282d4f0ab944f3bce"),
+}
+
+
+@pytest.mark.parametrize("channel", list(TRAJECTORY_SHA256), ids=["colored", "critical", "white"])
+def test_sampled_trajectory_bits_are_pinned(channel):
+    coeffs = abel_for_channel(ChannelParams(*channel))
+    traj = integrate_abel(coeffs, horizon=50.0, step=0.05)
+    digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (traj.times, traj.g, traj.log_a)]
+    assert digests == [TIMES_SHA256, *TRAJECTORY_SHA256[channel]]
+    # the trajectory carries the float solution's scalars, so the rate has
+    # the same bits on either, or fails the same way
+    sol = solve_abel(coeffs, 50.0)
+    assert (traj.power, traj.r_limit, traj.g_tail) == (sol.power, sol.r_limit, sol.g_tail)
+    assert sol.r_limit == pytest.approx(traj.g[-1], abs=1e-15)
+    outcomes = []
+    for result in (traj, sol):
+        try:
+            outcomes.append(sk_rate_from_ode(result))
+        except NotConverged as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_tail_state_is_the_last_step_boundary_before_nine_tenths():
+    # so the rate's tail window covers at least the last tenth
+    for horizon in (10.0, 50.0, 123.4):
+        sol = solve_abel(abel_for_channel(ChannelParams(-0.5, 1.0, 2.0)), horizon)
+        starts = list(sol.steps[::16])
+        i = max(k for k, t in enumerate(starts) if t <= 0.9 * horizon)
+        assert sol.g_tail == sol.steps[16 * i + 2]

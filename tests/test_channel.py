@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,3 +81,30 @@ def test_noise_sdf_scalar_and_array_shapes():
     assert isinstance(noise_sdf(params, 1.0), float)
     out = noise_sdf(params, np.ones((3, 2)))
     assert out.shape == (3, 2)
+
+
+def test_noise_sdf_float_path_has_the_array_paths_bits():
+    # the CLI fuzz extremes of test_cli, at frequencies from 0 past the
+    # float range: the math path returns what the array path computes, bit
+    # for bit, and raises ZeroDivisionError exactly where the array path
+    # divides by 0 (x^2 + kappa^2 underflows)
+    from test_cli import FUZZ_KAPPAS, FUZZ_LAMBDAS
+
+    xs = [0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-20, 0.5, -1.0, 3.0, 1e20, 1e154,
+          -1e160, 1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    for lam, kappa in itertools.product(FUZZ_LAMBDAS, FUZZ_KAPPAS):
+        params = ChannelParams(lam, kappa, 1.0)
+        with np.errstate(all="ignore"):
+            array = noise_sdf(params, np.array(xs))
+            zero_d = [noise_sdf(params, np.array(x)) for x in xs]
+        for x, a, z in zip(xs, array, zero_d):
+            assert a == z or (math.isnan(a) and math.isnan(z))
+            try:
+                v = noise_sdf(params, x)
+            except ZeroDivisionError:
+                assert x * x + kappa * kappa == 0.0, (lam, kappa, x)
+                assert not math.isfinite(a)
+                continue
+            assert type(v) is float
+            assert (v == a and math.copysign(1.0, v) == math.copysign(1.0, a)) or (
+                math.isnan(v) and math.isnan(a)), (lam, kappa, x, v, a)

@@ -415,3 +415,16 @@ def test_out_manifest_records_the_parsed_options(tmp_path, capsys, argv, paramet
     assert manifest["parameters"] == parameters
     assert manifest["master_seed"] == master_seed
     assert manifest["version"] == oucap.__version__
+
+
+@pytest.mark.parametrize("band", [1000.0, 3.7, 2.5e5])
+def test_waterfill_bands_are_a_geometric_grid_with_exact_ends(capsys, band):
+    # numpy's geomspace on libm: numpy's SIMD log10 and power may differ
+    # from libm's in the last bit, which 10^y scales up to a few ulp
+    import numpy as np
+
+    payload = run_json(capsys, ["spectrum", "--lambda=-0.5", "--kappa", "1", "--power", "2",
+                                "--sweep", "waterfill", "--band", repr(band)])
+    bands = np.array([row["band"] for row in payload["rows"]])
+    assert bands[0] == band / 100.0 and bands[-1] == band
+    np.testing.assert_allclose(bands, np.geomspace(band / 100.0, band, 9), rtol=1e-14, atol=0.0)

@@ -1,11 +1,15 @@
 """The runtime needs the standard library, and numpy only where it builds
 arrays.  Checked in fresh interpreters: no import, subcommand or public
 entry point loads any scipy module; `import oucap` does not load
-importlib.metadata or numpy, and neither do the scalar subcommands; a cold
-simulation that runs on one thread does not load the thread pool; the lazy
-package exports bind every name of `__all__` and resolve submodules.
+importlib.metadata or numpy; every subcommand but simulate runs with numpy
+blocked and prints what it prints with numpy, and so do the float entry
+points (the ODE route, the kernel ratios, the scalar noise density and
+both sweeps); a cold simulation that runs on one thread loads neither the
+thread pool nor numpy.ma; the lazy package exports bind every name of
+`__all__` and resolve submodules.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -130,13 +134,6 @@ print("ok")
     assert out.rstrip().endswith("ok")
 
 
-SCALAR_COMMANDS = (
-    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "closed"],
-    ["capacity", "--lambda", "-0.5", "--kappa", "1", "--power", "2", "--route", "discrete"],
-    ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1", "--sweep", "flat"],
-)
-
-
 def test_import_loads_no_numpy():
     out = run_fresh("""
 import oucap
@@ -147,14 +144,79 @@ print("ok")
     assert out.rstrip().endswith("ok")
 
 
-@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=(
-    "capacity-closed", "capacity-discrete", "spectrum-flat"))
-def test_scalar_command_loads_no_numpy(argv):
-    out = run_fresh(f"""
+CHANNEL = ["--lambda", "-0.5", "--kappa", "1", "--power", "2"]
+NUMPY_FREE_COMMANDS = (
+    *(["capacity", *CHANNEL, "--route", route] for route in ("closed", "discrete", "ode", "all")),
+    ["spectrum", "--lambda", "1", "--kappa", "1", "--power", "1", "--sweep", "flat"],
+    ["spectrum", "--lambda", "0", "--kappa", "1", "--power", "2", "--sweep", "waterfill",
+     "--band", "1000"],
+)
+
+BLOCK_NUMPY = """
+sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+"""
+
+
+def cli_stdout(argvs, block: bool) -> list:
+    """Exit code and stdout of each argv, run in turn through cli.main in one
+    fresh interpreter, with numpy blocked or not; the interpreter fails
+    unless numpy is still unloaded at the end."""
+    out = run_fresh((BLOCK_NUMPY if block else "") + f"""
+import contextlib
+import io
+import json
+
 from oucap.cli import main
-for fmt in ("text", "csv", "json"):
-    assert main({argv!r} + ["--format", fmt]) == 0
-assert "numpy" not in sys.modules
+
+runs = []
+for argv in {argvs!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    runs.append([code, buf.getvalue()])
+assert not [m for m in sys.modules if m.split(".")[0] == "numpy" and sys.modules[m]]
+print(json.dumps(runs))
+""")
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=(
+    "capacity-closed", "capacity-discrete", "capacity-ode", "capacity-all",
+    "spectrum-flat", "spectrum-waterfill"))
+def test_command_runs_without_numpy_and_prints_the_same(argv):
+    argvs = [argv + ["--format", fmt] for fmt in ("text", "csv", "json")]
+    blocked, free = cli_stdout(argvs, block=True), cli_stdout(argvs, block=False)
+    assert [code for code, _ in blocked] == [0, 0, 0]
+    assert blocked == free
+
+
+def test_waterfill_out_runs_without_numpy_and_writes_the_same(tmp_path):
+    base = tmp_path / "waterfill"
+    argvs = [NUMPY_FREE_COMMANDS[-1] + ["--format", "csv", "--out", str(base)]]
+    written = []
+    for block in (True, False):
+        runs = cli_stdout(argvs, block)
+        assert runs[0][0] == 0
+        written.append((runs, base.with_suffix(".csv").read_bytes()))
+    assert written[0] == written[1]
+
+
+def test_float_entry_points_run_without_numpy():
+    out = run_fresh(BLOCK_NUMPY + """
+from oucap import (ChannelParams, Route, abel_for_channel, classify_root_convergence,
+                   flat_input_limit_sweep, noise_sdf, ou_resolvent_kernel, sk_rate_from_ode,
+                   solve_abel, waterfill_bandlimited)
+
+colored = ChannelParams(-0.5, 1.0, 2.0)
+coeffs = abel_for_channel(colored)
+assert sk_rate_from_ode(solve_abel(coeffs, 50.0)).route is Route.ODE_LIMIT
+assert classify_root_convergence(coeffs, 50.0).case
+for params in (colored, ChannelParams(-1.0, 1.0, 2.0)):
+    kernel = ou_resolvent_kernel(params)
+    kernel.lu_over_ld(1.0), kernel.ld_prime_over_ld(1.0)
+assert isinstance(noise_sdf(colored, 0.5), float)
+waterfill_bandlimited(colored, 10.0, 2.0)
+flat_input_limit_sweep(colored, (4.0,), (8.0,))
 print("ok")
 """)
     assert out.rstrip().endswith("ok")
@@ -168,6 +230,7 @@ assert main(["simulate", "--lambda", "-1", "--kappa", "1", "--power", "2",
              "--trials", "50", "--steps", "1000", "--seed", "0", "--format", "json"]) == 0
 assert "concurrent.futures" not in sys.modules
 assert "statistics" not in sys.modules
+assert "numpy.ma" not in sys.modules
 print("ok")
 """)
     assert out.rstrip().endswith("ok")

@@ -1096,3 +1096,15 @@ def test_physical_memory_comes_from_sysconf(monkeypatch):
 
     monkeypatch.setattr(os, "sysconf", unknown)
     assert simulate._physical_memory() is None
+
+
+@pytest.mark.parametrize("points", [101, 301])
+def test_output_indices_are_the_distinct_rounded_grid(traj_std, monkeypatch, points):
+    # np.unique is the reference; at 301 points the rounded grid repeats
+    # indices on every grid below 300 steps
+    monkeypatch.setattr(simulate, "OUTPUT_POINTS", points)
+    for steps in (100, 150, 199, 333):
+        cfg = SimConfig(horizon=2.0, steps=steps, trials=2, master_seed=1)
+        rep = run_sk_scheme(P_STD, cfg, traj_std)
+        want = np.unique(np.round(np.linspace(0, steps, points)).astype(np.int64))
+        assert np.array_equal(rep.times, (np.arange(steps + 1) * cfg.delta)[want])
