@@ -14,8 +14,11 @@ of the limiting cubic that g(t) settles on, bracketed and bisected.
 The ODE is integrated by a Dormand-Prince 5(4) stepper on Python floats, a
 port of scipy's RK45 (same tolerances, step control and dense output).
 solve_abel stops there, and the rate and the root classification read its
-floats, so they run on the standard library alone; integrate_abel samples
-the steps' dense output on a uniform grid, and only it imports numpy.
+floats, so they run on the standard library alone.  _dense_output
+evaluates the steps' quartic dense output at an array of times, and only
+it imports numpy: integrate_abel samples g and log A on a uniform grid,
+and the Monte Carlo reads log A on its own grid, so the curve is
+interpolated once, by the stepper's own polynomials.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channel import CapacityResult, ChannelParams, Route
-from .errors import NotConverged, StepSizeUnderflow
+from .errors import MemoryBudgetExceeded, NotConverged, StepSizeUnderflow, _physical_memory
 from .kernels import SeparableKernel, ou_resolvent_kernel
 from .roots import cubic_roots
 
@@ -76,15 +79,16 @@ def abel_for_channel(params: ChannelParams) -> AbelCoefficients:
 
 @dataclass(frozen=True)
 class AbelSolution:
-    """The Abel ODE integrated to its horizon on floats, not yet sampled.
+    """The Abel ODE integrated to its horizon on floats.
 
     steps holds 16 doubles per accepted step: its start time, its size, g
     and s = log A - log sqrt(P) at its start, and the six stage slopes of g
-    and of s.  r_limit is the stepper's own end state g(horizon).  g_tail is
-    its state at the last accepted step boundary at or before 0.9 horizon,
-    so the tail window from there to the horizon covers at least the last
-    tenth.  sk_rate_from_ode and classify_root_convergence read only these
-    scalars.
+    and of s, from which _dense_output evaluates g and log A at any time in
+    [0, horizon].  r_limit is the stepper's own end state g(horizon).
+    g_tail is its state at the last accepted step boundary at or before 0.9
+    horizon, so the tail window from there to the horizon covers at least
+    the last tenth.  sk_rate_from_ode and classify_root_convergence read
+    only these scalars.
     """
 
     steps: array
@@ -95,33 +99,26 @@ class AbelSolution:
 
 
 @dataclass(frozen=True)
-class OdeTrajectory:
-    """Sampled solution of the Abel ODE with its amplitude curve.
+class OdeTrajectory(AbelSolution):
+    """An AbelSolution with g and log A sampled at `times` from its dense
+    output (integrate_abel).
 
     log_a stores log A(t) (A grows like e^{rate * t}, so the log is the
     primary representation); the `a` property exponentiates and may
-    overflow to inf for long horizons, by design.  r_limit and g_tail are
-    the AbelSolution's: r_limit is the stepper's end state g(T), which may
-    differ from the dense-output sample g[-1] in its last bits, and g_tail
-    the state at the last step boundary at or before 0.9 T.
+    overflow to inf for long horizons, by design.  r_limit, the stepper's
+    end state g(T), may differ from the dense-output sample g[-1] in its
+    last bits.
     """
 
     times: np.ndarray
     g: np.ndarray
     log_a: np.ndarray
-    r_limit: float
-    power: float
-    g_tail: float
 
     @property
     def a(self) -> np.ndarray:
         import numpy as np
 
         return np.exp(self.log_a)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
 
 def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
@@ -158,8 +155,8 @@ class RootConvergence:
 # and constants of scipy.integrate.RK45 (Hairer, Norsett & Wanner, Solving
 # ODEs I, Sec. II.4; Shampine, Math. Comp. 46 (1986) 135-150).  Stage 1
 # enters only the later stages, so its B, E and P entries are 0 and dropped.
-# _P, the dense output's coefficient rows, is only read by integrate_abel's
-# sampler, as a numpy matrix.
+# _P, the dense output's coefficient rows, is only read by _dense_output, as
+# a numpy matrix.
 _C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
 _A1 = 1 / 5
 _A2 = (3 / 40, 9 / 40)
@@ -328,45 +325,64 @@ def solve_abel(coeffs: AbelCoefficients, horizon: float) -> AbelSolution:
                         g_tail=steps[16 * i + 2])
 
 
+def _dense_output(sol: AbelSolution, times: np.ndarray, log_a: bool = False) -> np.ndarray:
+    """g, or log A when log_a is true, at `times` (a numpy array within [0,
+    sol.horizon]) from each accepted step's quartic dense output.  A time on
+    a step boundary takes the earlier step, as scipy's OdeSolution."""
+    import numpy as np
+
+    table = np.frombuffer(sol.steps, dtype=float).reshape(-1, 16)
+    t0, h = table[:, 0], table[:, 1]
+    # g's start value and stage slopes are columns 2 and 4:10, s's 3 and 10:16
+    first = 10 if log_a else 4
+    y0 = table[:, 3 if log_a else 2]
+    Q = table[:, first:first + 6] @ np.array(_P, dtype=float)
+    seg = np.clip(np.searchsorted(t0, times, side="left") - 1, 0, t0.size - 1)
+    x = (times - t0[seg]) / h[seg]
+    y = y0[seg] + h[seg] * x * (Q[seg, 0] + x * (Q[seg, 1] + x * (Q[seg, 2] + x * Q[seg, 3])))
+    return 0.5 * math.log(sol.power) + y if log_a else y
+
+
+# Doubles integrate_abel holds per sample at its peak, times, g and the
+# dense evaluation of log A with its temporaries: 10.04 traced at 1e5
+# samples, rounded up
+_SAMPLE_WORDS = 11
+
+
 def integrate_abel(coeffs: AbelCoefficients, horizon: float,
                    step: float) -> OdeTrajectory:
-    """Integrate the Abel ODE over [0, horizon] (solve_abel), sampled every
-    `step` from each accepted step's quartic dense output.
+    """Integrate the Abel ODE over [0, horizon] (solve_abel) and sample g
+    and log A every `step` from its dense output.
 
-    The trajectory carries the solution's r_limit and g_tail, so
+    The trajectory is the solution with the samples added, so
     sk_rate_from_ode gives the same bits on it as on solve_abel's result.
-    Non-finite samples raise StepSizeUnderflow.
+    Non-finite samples raise StepSizeUnderflow; samples that would exceed
+    physical memory raise MemoryBudgetExceeded before anything is
+    integrated.
     """
     if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
         raise ValueError("horizon and step must be positive and finite")
     if step > horizon / 100.0:
         raise ValueError(f"step must be <= horizon/100, got {step}")
+    n = int(math.ceil(horizon / step))
+    need = 8 * _SAMPLE_WORDS * (n + 1)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryBudgetExceeded(
+            f"{n + 1} samples need about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory")
     sol = solve_abel(coeffs, horizon)
     import numpy as np
 
-    table = np.frombuffer(sol.steps, dtype=float).reshape(-1, 16)
-    t0, h, g0, s0 = table[:, 0], table[:, 1], table[:, 2], table[:, 3]
-    dense_rows = np.array(_P, dtype=float)
-    qg, qs = table[:, 4:10] @ dense_rows, table[:, 10:16] @ dense_rows
-    n = int(math.ceil(horizon / step))
     times = np.linspace(0.0, horizon, n + 1)
-    # a sample on a step boundary takes the earlier step, as scipy's OdeSolution
-    seg = np.clip(np.searchsorted(t0, times, side="left") - 1, 0, t0.size - 1)
-    x = (times - t0[seg]) / h[seg]
-    hx = h[seg] * x
-
-    def dense(y0, Q):
-        return y0[seg] + hx * (Q[seg, 0] + x * (Q[seg, 1] + x * (Q[seg, 2] + x * Q[seg, 3])))
-
-    g = dense(g0, qg)
+    g = _dense_output(sol, times)
     if not np.all(np.isfinite(g)):
         raise StepSizeUnderflow("non-finite solution samples")
-    log_a = 0.5 * math.log(sol.power) + dense(s0, qs)
-    return OdeTrajectory(times=times, g=g, log_a=log_a, r_limit=sol.r_limit,
-                         power=sol.power, g_tail=sol.g_tail)
+    return OdeTrajectory(**vars(sol), times=times, g=g,
+                         log_a=_dense_output(sol, times, log_a=True))
 
 
-def _check_settled(result: AbelSolution | OdeTrajectory) -> None:
+def _check_settled(result: AbelSolution) -> None:
     """NotConverged unless |g(T) - g_tail| < 1e-8."""
     gap = abs(result.r_limit - result.g_tail)
     if not gap < 1e-8:
@@ -375,7 +391,7 @@ def _check_settled(result: AbelSolution | OdeTrajectory) -> None:
             f"{result.horizon}; integrate further")
 
 
-def sk_rate_from_ode(result: AbelSolution | OdeTrajectory) -> CapacityResult:
+def sk_rate_from_ode(result: AbelSolution) -> CapacityResult:
     """Information rate P * r_limit^2 of the feedback scheme, from
     solve_abel's result or integrate_abel's trajectory (the same bits).
 

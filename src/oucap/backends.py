@@ -1,6 +1,7 @@
-"""The simulation kernel, oucap._sk_numpy.  Simulation looks it up through
-get_backend() at each call, so a caller that wraps the module's
-``filter_batch`` (a profiler, say) sees every call."""
+"""The simulation kernel, oucap._sk_numpy.  Simulation calls the module's
+``filter_batch`` directly, looked up for each batch, so a caller that wraps
+it (a profiler, say) sees every call; this module stays only as perfbench's
+way in to the kernel."""
 
 from __future__ import annotations
 

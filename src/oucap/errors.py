@@ -1,8 +1,11 @@
-"""Exception types raised by oucap.
+"""Exception types raised by oucap, and the physical memory that
+MemoryBudgetExceeded is judged against.
 
 Each class corresponds to one failure mode of the numerical contracts;
 callers that need exit-code mapping (the CLI) catch these by type.
 """
+
+import os
 
 
 class OucapError(Exception):
@@ -39,3 +42,12 @@ class StationarityViolated(OucapError):
 
 class MemoryBudgetExceeded(OucapError):
     """A run's arrays would not fit in the machine's physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, from os.sysconf, or None where the
+    platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None

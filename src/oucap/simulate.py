@@ -31,35 +31,36 @@ trial's 4 words into its 128-bit state in Python ints, and each drawing
 thread keeps one PCG64 whose state it sets once per trial (_fill_trial).
 The states are bit for bit those of numpy's own construction.
 
-Everything that depends on the channel, the grid and the gain trajectory
-but not on the trials or the seed (the gain on the grid, the filter
-coefficients and var_theta) is the plan, _Scheme.  The last plan built is
-kept, read-only, and a later call on the same inputs (run_sk_scheme again,
-or decode_message after run_sk_scheme) reuses it instead of running the
-covariance recursion again; a call on other inputs, or on a trajectory
-changed in place, builds a new one, which replaces it.
+Everything that depends on the channel, the grid and the gain ODE's
+solution but not on the trials or the seed (the gain on the grid, the
+filter coefficients and var_theta) is the plan, _Scheme.  The gain log A
+is read on the simulation grid straight from the solution's dense output
+(abel._dense_output), the curve every route shares.  The last plan built
+is kept, read-only, and a later call on the same inputs (run_sk_scheme
+again, or decode_message after run_sk_scheme) reuses it instead of running
+the covariance recursion again; a call on other inputs, or on a solution
+whose step table was changed in place, builds a new one, which replaces it.
 
-The filter runs in the numpy kernel oucap._sk_numpy, looked up through
-oucap.backends.get_backend() at each call, one batch at a time on the
-calling thread.  It carries the estimation error rather than the
-estimate, so the squared error keeps its relative precision however small
-the MMSE gets.  The recursion is linear with coefficients shared by every
-trial, so the kernel applies each block of steps to the whole batch as one
-matrix, in BLAS products that round each trial alike whatever its batch and
-however many threads BLAS runs; it only reads the batch's noise draws.  One
-batch of draws is alive at a time: its trials are drawn straight into the
-batch's buffers.  The stationary noise sampler draws through the same batch
-path, all its trials as one batch with one row each, and ljung_box works
-through its rows in cache-sized blocks.  A batch's draws and ljung_box's
-rows are shared over the usable CPUs by one rule and one helper (_parts,
-_on_cpus) once the job is large enough to repay a thread's start
-(SPLIT_WORK); each row is worked by one thread in the same order whatever
-the split, so the bits do not depend on it, and every helper thread ends
-before the call returns.
+The filter runs in the numpy kernel oucap._sk_numpy, its filter_batch
+looked up on the module for each batch, one batch at a time on the calling
+thread.  It carries the estimation error rather than the estimate, so the
+squared error keeps its relative precision however small the MMSE gets.
+The recursion is linear with coefficients shared by every trial, so the
+kernel applies each block of steps to the whole batch as one matrix, in
+BLAS products that round each trial alike whatever its batch and however
+many threads BLAS runs; it only reads the batch's noise draws.  One batch
+of draws is alive at a time: its trials are drawn straight into the
+batch's buffers.  The stationary noise sampler draws through the same
+batch path, all its trials as one batch with one row each, and ljung_box
+works through its rows in cache-sized blocks.  A batch's draws and
+ljung_box's rows are shared over the usable CPUs by one rule and one
+helper (_parts, _on_cpus) once the job is large enough to repay a thread's
+start (SPLIT_WORK); each row is worked by one thread in the same order
+whatever the split, so the bits do not depend on it, and every helper
+thread ends before the call returns.
 
-The gain curve reaches the simulation grid through a cubic Hermite spline
-written in numpy, and decode_message takes its message grid from the
-standard library's normal quantile, so simulation needs no scipy.
+decode_message takes its message grid from the standard library's normal
+quantile, so simulation needs no scipy.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sk_numpy, backends
-from .abel import OdeTrajectory
+from . import _sk_numpy
+from .abel import AbelSolution, _dense_output
 from .capacity import arma_from_step
 from .channel import ChannelParams
-from .errors import FilterDivergence, MemoryBudgetExceeded, StationarityViolated
+from .errors import (FilterDivergence, MemoryBudgetExceeded, StationarityViolated,
+                     _physical_memory)
 
 
 # Trials per filter batch.  Batching only groups trials for vectorization;
@@ -295,15 +297,6 @@ def _fill_trial(gen: np.random.Generator, words: np.ndarray, head: np.ndarray,
     return int(gen.integers(1, messages + 1)) if messages else 0
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, from os.sysconf, or None where the
-    platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
                   sampler: bool = False) -> int:
     """The bytes a Monte Carlo run on cfg holds at its peak, estimated before
@@ -311,10 +304,9 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
     physical memory.
 
     In doubles: for run_sk_scheme and decode_message (sampler False) the
-    plan's per-step arrays and their build, 16 (steps + 1); the gain
-    trajectory sampled once a step, as `oucap simulate` integrates it,
-    3 (steps + 2), which with the plan's 16 covers the 10 a sample that
-    integrate_abel holds while it samples; the per-trial
+    plan's per-step arrays and their build, 16 (steps + 1), within which
+    the dense evaluation of log A stays: it runs first, while only the grid
+    is alive, and holds about 10 a step with its temporaries; the per-trial
     rows, trials (OUTPUT_POINTS + 3); one batch of draws, 2 steps + 8 per
     trial of the batch; the kernel's scratch, twice _sk_numpy._budget; the
     innovations, trials x steps, when kept; and decode_message's grid, 5 per
@@ -328,7 +320,7 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
         words = 5 * m * n + 16 * (n + m)
     else:
         batch = min(BATCH_SIZE, m)
-        words = (16 * (n + 1) + 3 * (n + 2) + m * (OUTPUT_POINTS + 3)
+        words = (16 * (n + 1) + m * (OUTPUT_POINTS + 3)
                  + batch * (2 * n + 8) + 2 * _sk_numpy._budget(batch, n)
                  + (m * n if innovations else 0) + 5 * grid_size)
     need = 8 * words
@@ -404,25 +396,6 @@ def arma_recursion_residual(z: np.ndarray, brownian: np.ndarray,
     u, theta = -arma.phi, arma.theta
     resid = z[1:] - (u * z[:-1] + brownian[1:] + theta * brownian[:-1])
     return float(np.max(np.abs(resid))) if resid.size else 0.0
-
-
-def _gain_on_grid(traj: OdeTrajectory, params: ChannelParams, times: np.ndarray) -> np.ndarray:
-    """log A on the simulation grid by the cubic Hermite spline through the
-    trajectory's samples with their exact slopes, (log A)' = P g^2."""
-    if traj.power != params.power:
-        raise ValueError("trajectory was computed for a different power")
-    if traj.horizon < times[-1] * (1.0 - 1e-9):
-        raise ValueError("trajectory horizon shorter than the simulation horizon")
-    x, y, dydx = traj.times, traj.log_a, params.power * traj.g**2
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c3, c2 = t / dx, (slope - dydx[:-1]) / dx - t
-    at = np.minimum(times, x[-1])
-    # interval [x_i, x_{i+1}) holds a point; the last point closes the last one
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, dx.size - 1)
-    s = at - x[i]
-    return y[i] + dydx[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
 
 
 def _filter_coefficients(params: ChannelParams, delta: float,
@@ -501,44 +474,37 @@ class _Scheme:
     coeffs: tuple
 
 
-# (scalars, trajectory digest, plan) of the last plan _prepare_scheme
+# (scalars, step table digest, plan) of the last plan _prepare_scheme
 # built, or None
 _last_plan = None
 
 
-def _trajectory_digest(traj: OdeTrajectory) -> bytes:
-    """sha256 of the shape, dtype and bytes of the trajectory's times, g and
-    log_a as float arrays: equal only for the same bits, so -0.0 and 0.0
-    differ, and a trajectory changed in place gets a new digest."""
-    digest = hashlib.sha256()
-    for a in (traj.times, traj.g, traj.log_a):
-        a = np.ascontiguousarray(a, dtype=float)
-        digest.update(f"{a.shape}{a.dtype.str};".encode())
-        digest.update(a)
-    return digest.digest()
-
-
-def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory) -> _Scheme:
+def _prepare_scheme(params: ChannelParams, cfg: SimConfig, traj: AbelSolution) -> _Scheme:
     """The plan for (params, cfg.horizon, cfg.steps, traj): the last one
     built when the bits of everything it reads match, else a new one, which
-    then replaces it: lam, kappa, P, the horizon and the trajectory's power
-    (so -0.0 and 0.0 differ), the steps, and the digest of the trajectory's
-    times, g and log_a, taken again at each call, so that a trajectory
+    then replaces it: lam, kappa, P, the horizon, the solution's power and
+    horizon (so -0.0 and 0.0 differ), the steps, and the sha256 of the
+    solution's step table, taken again at each call, so that a table
     changed in place gets a new plan.  Neither cfg.trials nor
-    cfg.master_seed enters the plan."""
+    cfg.master_seed enters the plan.  A solution for another power, or one
+    that ends short of cfg.horizon, raises ValueError."""
     global _last_plan
-    scalars = (struct.pack("<5d", params.lam, params.kappa, params.power, cfg.horizon, traj.power),
-               cfg.steps)
-    digest = _trajectory_digest(traj)
+    scalars = (struct.pack("<6d", params.lam, params.kappa, params.power, cfg.horizon,
+                           traj.power, traj.horizon), cfg.steps)
+    digest = hashlib.sha256(traj.steps).digest()
     last = _last_plan
     if last is not None and last[0] == scalars and last[1] == digest:
         return last[2]
-    # the old plan goes before the new one is built
-    last = _last_plan = None
+    if traj.power != params.power:
+        raise ValueError("trajectory was computed for a different power")
     n = cfg.steps
     delta = cfg.delta
+    if traj.horizon < n * delta * (1.0 - 1e-9):
+        raise ValueError("trajectory horizon shorter than the simulation horizon")
+    # the old plan goes before the new one is built
+    last = _last_plan = None
     times = np.arange(n + 1) * delta
-    log_amp = _gain_on_grid(traj, params, times)
+    log_amp = _dense_output(traj, np.minimum(times, traj.horizon), log_a=True)
     amp = np.exp(log_amp)
     h_amp = amp[:n] * delta
     h_zeta = params.lam * np.exp(-params.kappa * times[:n]) * delta
@@ -619,7 +585,7 @@ def _on_cpus(work, parts: int) -> None:
             helper.result()
 
 
-def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
+def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
                 out_idx: np.ndarray, grid: np.ndarray | None = None,
                 innov_rows: np.ndarray | None = None):
     """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
@@ -630,14 +596,13 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     index 1..grid.size it draws after its noise block.  The batches run one
     after another on the calling thread, each drawn in the parts _parts
     gives its trials and steps, so one batch of draws is alive at a
-    time; each batch reads the kernel's filter_batch afresh, so a wrapper
+    time; each batch looks up _sk_numpy.filter_batch afresh, so a wrapper
     installed between calls sees every batch.  Returns (plan, per-trial
     rows of the squared error at out_idx, terminal estimates, message
     indices); per-trial rows make results independent of batching and
     threads.
     innov_rows, if given, receives the standardized innovations.
     """
-    kern = backends.get_backend()
     n = cfg.steps
     trials = cfg.trials
     scheme = _prepare_scheme(params, cfg, traj)
@@ -653,21 +618,22 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
             th0 = grid[sent[lo:hi] - 1]
         zeta0 = zeta0 * scheme.zeta_scale
         innov = None if innov_rows is None else innov_rows[lo:hi]
-        kern.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
-                          out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
+        _sk_numpy.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
+                               out_idx, sq_rows[lo:hi], mtheta[lo:hi], innov)
         # free this batch's draws before the next batch is drawn
         del th0, zeta0, xi1, xi2
     return scheme, sq_rows, mtheta, sent
 
 
-def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
+def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
                   return_innovations: bool = False) -> SimReport:
     """Run the feedback scheme for cfg.trials trials and aggregate.
 
-    `traj` must come from the gain ODE for the same parameters with horizon
-    at least cfg.horizon.  Results are bit-identical for a fixed
-    (master_seed, cfg) however the trials are batched and however many
-    threads draw them.  A run whose arrays would exceed physical memory
+    `traj` is the gain ODE's solution for the same parameters (solve_abel,
+    or integrate_abel's trajectory, which carries it) with horizon at least
+    cfg.horizon; log A is read on the grid from its dense output.  Results
+    are bit-identical for a fixed (master_seed, cfg) however the trials are
+    batched and however many threads draw them.  A run whose arrays would exceed physical memory
     raises MemoryBudgetExceeded before it allocates them.
     """
     _check_memory(cfg, innovations=return_innovations)
@@ -704,7 +670,7 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
     )
 
 
-def decode_message(params: ChannelParams, cfg: SimConfig, traj: OdeTrajectory,
+def decode_message(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
                    grid_size: int) -> float:
     """Empirical decoding error rate for a grid of `grid_size` messages.
 

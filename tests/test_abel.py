@@ -11,6 +11,7 @@ import oucap.abel as abel
 from oucap import (
     AbelCoefficients,
     ChannelParams,
+    MemoryBudgetExceeded,
     NotConverged,
     Regime,
     Route,
@@ -451,6 +452,34 @@ def test_accepted_steps_are_stored_as_doubles(monkeypatch):
         tracemalloc.stop()
     assert accepted[-1] > 5000  # enough steps for the storage to dominate
     assert peak / accepted[-1] < 300
+
+
+def test_oversize_trajectory_is_refused_before_it_allocates():
+    # 5e12 samples would be 36 TiB per array: the typed error comes before
+    # the ODE is integrated, not numpy's allocation error
+    coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 2.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match="physical memory"):
+            integrate_abel(coeffs, 50.0, 1e-11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_sample_estimate_bounds_the_traced_peak():
+    coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 2.0))
+    samples = 100_001
+    integrate_abel(coeffs, 10.0, 1e-4)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        traj = integrate_abel(coeffs, 10.0, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == samples
+    assert peak <= 8 * abel._SAMPLE_WORDS * samples
 
 
 # sha256 of integrate_abel's times, g and log_a at horizon 50, step 0.05.

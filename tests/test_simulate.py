@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -28,6 +29,7 @@ from oucap import (
     integrate_abel,
     ljung_box,
     run_sk_scheme,
+    solve_abel,
     stationary_arma_noise,
 )
 
@@ -714,7 +716,7 @@ def test_plan_is_rebuilt_when_what_it_reads_changes(traj_std, monkeypatch):
     other_power = ChannelParams(P_STD.lam, P_STD.kappa, 1.0)
     white = ChannelParams(0.0, 1.0, 2.0)
     white_traj = make_traj(white, 2.0)
-    moved = replace(traj_std, log_a=traj_std.log_a.copy())
+    moved = replace(traj_std, steps=array("d", traj_std.steps))
     runs = [
         (P_STD, cfg, traj_std),
         (P_STD, replace(cfg, steps=301), traj_std),
@@ -727,21 +729,52 @@ def test_plan_is_rebuilt_when_what_it_reads_changes(traj_std, monkeypatch):
     for params, c, traj in runs:
         run_sk_scheme(params, c, traj)
     assert len(calls) == len(runs)
-    # trajectories are compared by content: an equal copy shares the plan,
-    # until it is changed in place
+    # solutions are compared by their step tables: an equal copy shares the
+    # plan, until it is changed in place
     run_sk_scheme(P_STD, cfg, moved)
     assert len(calls) == len(runs)
-    moved.log_a[5] += 1e-12
+    moved.steps[-1] += 1e-12  # the last step's last slope of log A
     run_sk_scheme(P_STD, cfg, moved)
     assert len(calls) == len(runs) + 1
     run_sk_scheme(P_STD, cfg, moved)
     assert len(calls) == len(runs) + 1
     # by bits, as the scalars are: -0.0 in place of 0.0 is a change too
-    assert moved.times[0] == 0.0 and not math.copysign(1.0, moved.times[0]) < 0
-    moved = replace(moved, times=moved.times.copy())
-    moved.times[0] = -0.0
+    assert moved.steps[0] == 0.0 and not math.copysign(1.0, moved.steps[0]) < 0
+    moved.steps[0] = -0.0
     run_sk_scheme(P_STD, cfg, moved)
     assert len(calls) == len(runs) + 2
+    # the solution's horizon, which the plan reads, is part of the key
+    run_sk_scheme(P_STD, cfg, replace(moved, horizon=math.nextafter(moved.horizon, math.inf)))
+    assert len(calls) == len(runs) + 3
+
+
+def test_the_run_reads_the_solution_not_its_samples(monkeypatch):
+    # the plan evaluates log A from the solution's step table, so the
+    # solution and trajectories sampled at any step give the same bytes
+    coeffs = abel_for_channel(P_STD)
+    cfg = SimConfig(horizon=2.0, steps=300, trials=4, master_seed=5)
+    reports = []
+    for traj in (solve_abel(coeffs, 2.0), integrate_abel(coeffs, 2.0, 2.0 / 300),
+                 integrate_abel(coeffs, 2.0, 2.0 / 1000)):
+        monkeypatch.setattr(simulate, "_last_plan", None)
+        reports.append(run_sk_scheme(P_STD, cfg, traj, return_innovations=True))
+    for rep in reports[1:]:
+        for name in ("times", "mmse_emp", "mmse_analytic", "power_emp", "mmse_filter",
+                     "innovations"):
+            assert getattr(rep, name).tobytes() == getattr(reports[0], name).tobytes()
+        assert rep.empirical_rate == reports[0].empirical_rate
+
+
+def test_plan_gain_is_the_sampled_dense_output_at_a_coarse_grid():
+    # at 150 steps the plan's log A is integrate_abel's sample at T/150 on
+    # every interior point, bit for bit: no interpolation between samples
+    horizon, steps = 10.0, 150
+    coeffs = abel_for_channel(P_STD)
+    cfg = SimConfig(horizon=horizon, steps=steps, trials=1, master_seed=5)
+    plan = simulate._prepare_scheme(P_STD, cfg, solve_abel(coeffs, horizon))
+    traj = integrate_abel(coeffs, horizon, horizon / steps)
+    assert np.array_equal(plan.times[1:-1], traj.times[1:-1])
+    assert np.array_equal(plan.log_amp[1:-1], traj.log_a[1:-1])
 
 
 def test_plan_arrays_are_read_only(traj_std):
@@ -1034,20 +1067,22 @@ def test_memory_estimate_bounds_the_traced_peak(traj_std):
 
 
 def test_memory_estimate_covers_the_clis_trajectory():
-    # `oucap simulate` samples the gain ODE once a step before the run; at
-    # few trials and many steps the trajectory, and the plan's copy of it,
-    # are a large share of the peak
+    # at few trials and many steps the gain ODE and the plan's build are a
+    # large share of the peak: both for a trajectory sampled once a step
+    # and for `oucap simulate`'s path, solve_abel then the run
     cfg = SimConfig(horizon=10.0, steps=20_000, trials=2, master_seed=3)
     coeffs = abel_for_channel(P_STD)
     run_sk_scheme(P_STD, cfg, make_traj(P_STD, cfg.horizon))  # one-off allocations
-    tracemalloc.start()
-    try:
-        traj = integrate_abel(coeffs, horizon=cfg.horizon, step=cfg.horizon / cfg.steps)
-        run_sk_scheme(P_STD, cfg, traj)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= simulate._check_memory(cfg)
+    for solve in (lambda: integrate_abel(coeffs, horizon=cfg.horizon,
+                                         step=cfg.horizon / cfg.steps),
+                  lambda: solve_abel(coeffs, cfg.horizon)):
+        tracemalloc.start()
+        try:
+            run_sk_scheme(P_STD, cfg, solve())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulate._check_memory(cfg)
 
 
 def test_memory_estimate_reads_the_kernels_scratch_budget(monkeypatch):
