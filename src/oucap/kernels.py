@@ -45,10 +45,6 @@ class SeparableKernel:
     lu_over_ld: Callable
     ld_prime_over_ld: Callable
 
-    def __call__(self, s, u):
-        """Kernel value l(s, u); zero above the diagonal is the caller's
-        concern (sampling helpers enforce it)."""
-        return self.l_u(u) / self.l_d(s)
 
 @dataclass(frozen=True)
 class GridKernel:

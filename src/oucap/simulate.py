@@ -59,8 +59,8 @@ start (SPLIT_WORK); each row is worked by one thread in the same order
 whatever the split, so the bits do not depend on it, and every helper
 thread ends before the call returns.
 
-decode_message takes its message grid from the standard library's normal
-quantile, so simulation needs no scipy.
+decode_message takes each message point from the standard library's normal
+quantile as a trial needs it, so simulation needs no scipy and no grid.
 """
 
 from __future__ import annotations
@@ -297,8 +297,7 @@ def _fill_trial(gen: np.random.Generator, words: np.ndarray, head: np.ndarray,
     return int(gen.integers(1, messages + 1)) if messages else 0
 
 
-def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
-                  sampler: bool = False) -> int:
+def _check_memory(cfg: SimConfig, innovations: bool = False, sampler: bool = False) -> int:
     """The bytes a Monte Carlo run on cfg holds at its peak, estimated before
     it allocates anything; raises MemoryBudgetExceeded when they exceed
     physical memory.
@@ -308,12 +307,11 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
     the dense evaluation of log A stays: it runs first, while only the grid
     is alive, and holds about 10 a step with its temporaries; the per-trial
     rows, trials (OUTPUT_POINTS + 3); one batch of draws, 2 steps + 8 per
-    trial of the batch; the kernel's scratch, twice _sk_numpy._budget; the
-    innovations, trials x steps, when kept; and decode_message's grid, 5 per
-    message, for its array and the floats it is built from.  For
-    stationary_arma_noise, 5 (steps, trials) arrays, as its recursion and
-    identity check hold four at once, and 16 (steps + trials) for its
-    per-step and per-trial vectors.
+    trial of the batch; the kernel's scratch, twice _sk_numpy._budget; and
+    the innovations, trials x steps, when kept.  decode_message's number of
+    messages adds nothing.  For stationary_arma_noise, 5 (steps, trials)
+    arrays, as its recursion and identity check hold four at once, and 16
+    (steps + trials) for its per-step and per-trial vectors.
     """
     n, m = cfg.steps, cfg.trials
     if sampler:
@@ -322,7 +320,7 @@ def _check_memory(cfg: SimConfig, innovations: bool = False, grid_size: int = 0,
         batch = min(BATCH_SIZE, m)
         words = (16 * (n + 1) + m * (OUTPUT_POINTS + 3)
                  + batch * (2 * n + 8) + 2 * _sk_numpy._budget(batch, n)
-                 + (m * n if innovations else 0) + 5 * grid_size)
+                 + (m * n if innovations else 0))
     need = 8 * words
     have = _physical_memory()
     if have is not None and need > have:
@@ -586,17 +584,17 @@ def _on_cpus(work, parts: int) -> None:
 
 
 def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
-                out_idx: np.ndarray, grid: np.ndarray | None = None,
+                out_idx: np.ndarray, messages: int = 0,
                 innov_rows: np.ndarray | None = None):
     """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
 
     The plan comes from _prepare_scheme, so a call on the channel, grid and
     trajectory of the last one reuses its plan.  Trial i sends its
-    standard-normal Theta0 or, given `grid`, the grid point of the message
-    index 1..grid.size it draws after its noise block.  The batches run one
-    after another on the calling thread, each drawn in the parts _parts
-    gives its trials and steps, so one batch of draws is alive at a
-    time; each batch looks up _sk_numpy.filter_batch afresh, so a wrapper
+    standard-normal Theta0 or, given `messages`, the point (_message_point)
+    of the message index 1..messages it draws after its noise block.  The
+    batches run one after another on the calling thread, each drawn in the
+    parts _parts gives its trials and steps, so one batch of draws is alive
+    at a time; each batch looks up _sk_numpy.filter_batch afresh, so a wrapper
     installed between calls sees every batch.  Returns (plan, per-trial
     rows of the squared error at out_idx, terminal estimates, message
     indices); per-trial rows make results independent of batching and
@@ -606,7 +604,6 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     n = cfg.steps
     trials = cfg.trials
     scheme = _prepare_scheme(params, cfg, traj)
-    messages = 0 if grid is None else grid.size
     sq_rows = np.empty((trials, out_idx.size))
     mtheta = np.empty(trials)
     sent = np.empty(trials, dtype=np.int64)
@@ -614,8 +611,8 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
         hi = min(lo + BATCH_SIZE, trials)
         th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n,
                                                         messages, _parts(hi - lo, n))
-        if grid is not None:
-            th0 = grid[sent[lo:hi] - 1]
+        if messages:
+            th0 = np.array([_message_point(w, messages) for w in sent[lo:hi].tolist()])
         zeta0 = zeta0 * scheme.zeta_scale
         innov = None if innov_rows is None else innov_rows[lo:hi]
         _sk_numpy.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
@@ -670,35 +667,41 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     )
 
 
+def _message_point(w: int, messages: int) -> float:
+    """Message w's point, the normal quantile Phi^{-1}((w - 1/2)/messages)."""
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf((w - 0.5) / messages)
+
+
+def _decodes(w: int, estimate: float, messages: int) -> bool:
+    """Whether `estimate` is nearer message w's point than the one below and
+    no farther than the one above: the nearest point, ties to the lower."""
+    gap = abs(_message_point(w, messages) - estimate)
+    return ((w == 1 or gap < abs(_message_point(w - 1, messages) - estimate))
+            and (w == messages or gap <= abs(_message_point(w + 1, messages) - estimate)))
+
+
 def decode_message(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
                    grid_size: int) -> float:
     """Empirical decoding error rate for a grid of `grid_size` messages.
 
-    Message w in {1..M} maps to the equiprobable-cell Gaussian grid point
-    Phi^{-1}((w - 1/2)/M); the decoder picks the grid point nearest the
-    filter's terminal estimate.  The per-trial message index is drawn after
-    the standard noise block (one extra integer draw per trial).  A run
-    whose arrays, grid included, would exceed physical memory raises
-    MemoryBudgetExceeded before it allocates them.
+    Message w in {1..M}, drawn after the trial's noise block, maps to the
+    point Phi^{-1}((w - 1/2)/M); the decoder picks the point nearest the
+    terminal estimate from the sent point and its two neighbours (_decodes),
+    so time and memory do not grow with M.  M above 2**40, where the points'
+    spacing nears the rounding of the distances, raises ValueError; a run too
+    large for physical memory raises MemoryBudgetExceeded before it allocates.
     """
     m_size = _integer("grid_size", grid_size)
-    if m_size < 1:
-        raise ValueError("grid_size must be at least 1")
+    if not 1 <= m_size <= 2**40:
+        raise ValueError("grid_size must be between 1 and 2**40")
     if m_size == 1:
         return 0.0
-    _check_memory(cfg, grid_size=m_size)
-    from statistics import NormalDist
-
-    inv_cdf = NormalDist().inv_cdf
-    grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
-    out_idx = np.array([cfg.steps], dtype=np.int64)
-    _, _, mtheta, sent = _run_trials(params, cfg, traj, out_idx, grid=grid)
-
-    # grid[hi - 1] and grid[hi] bracket the estimate (the end pair outside
-    # the grid); the nearer one wins and a tie goes to the lower message
-    hi = np.clip(np.searchsorted(grid, mtheta, side="right"), 1, m_size - 1)
-    decoded = np.where(np.abs(grid[hi] - mtheta) < np.abs(grid[hi - 1] - mtheta), hi + 1, hi)
-    return int(np.sum(decoded != sent)) / cfg.trials
+    _check_memory(cfg)
+    _, _, mtheta, sent = _run_trials(params, cfg, traj, np.array([cfg.steps]), messages=m_size)
+    decoded = sum(_decodes(w, est, m_size) for w, est in zip(sent.tolist(), mtheta.tolist()))
+    return (cfg.trials - decoded) / cfg.trials
 
 
 def ljung_box(innovations: np.ndarray, lags: int = 20) -> np.ndarray:

@@ -104,7 +104,8 @@ def pinsker_rate(spectrum: InputSpectrum, params: ChannelParams) -> float:
     return total / (4.0 * math.pi)
 
 
-def flat_input_limit_sweep(params: ChannelParams, n_values, k_values) -> list[tuple[float, float, float, float]]:
+def flat_input_limit_sweep(params: ChannelParams, n_values,
+                           k_values) -> list[tuple[float, float, float, float]]:
     """Rates of two-sided flat inputs of total width n pushed out to offset k.
 
     Each row is (n, k, rate, analytic_limit) with analytic_limit the k -> inf

@@ -323,6 +323,52 @@ def scalar_filter_batch(th0, zeta0, xi1, xi2, hA, hzeta, K0, K1, K2, inv_sqrt_s,
         mtheta_out[i] = float(th0[i]) - e0
 
 
+def grid_decode(grid_size: int, mtheta: np.ndarray) -> np.ndarray:
+    """The message decoder the library used before it stopped forming the
+    grid: all grid_size points built in a loop, the estimate bracketed by
+    searchsorted, the nearer of the pair winning and a tie going to the lower
+    message.  Returns the decoded message of each estimate, 1..grid_size."""
+    from statistics import NormalDist
+
+    m_size = grid_size
+    inv_cdf = NormalDist().inv_cdf
+    grid = np.array([inv_cdf((w - 0.5) / m_size) for w in range(1, m_size + 1)])
+
+    # grid[hi - 1] and grid[hi] bracket the estimate (the end pair outside
+    # the grid); the nearer one wins and a tie goes to the lower message
+    hi = np.clip(np.searchsorted(grid, mtheta, side="right"), 1, m_size - 1)
+    decoded = np.where(np.abs(grid[hi] - mtheta) < np.abs(grid[hi - 1] - mtheta), hi + 1, hi)
+    return decoded
+
+
+class _LazyGrid:
+    """The grid of grid_decode as a sequence whose points are computed when
+    read, so that bisect can search a grid far too large to form."""
+
+    def __init__(self, size: int) -> None:
+        from statistics import NormalDist
+
+        self.size = size
+        self.inv_cdf = NormalDist().inv_cdf
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> float:
+        return self.inv_cdf((i + 0.5) / self.size)
+
+
+def lazy_grid_decode(grid_size: int, estimate: float) -> int:
+    """grid_decode's rule for one estimate at any grid size: searchsorted is
+    a binary search, so on the sorted grid bisect_right finds the same
+    bracket reading only about log2(grid_size) points."""
+    from bisect import bisect_right
+
+    grid = _LazyGrid(grid_size)
+    hi = min(max(bisect_right(grid, estimate), 1), grid_size - 1)
+    return hi + 1 if abs(grid[hi] - estimate) < abs(grid[hi - 1] - estimate) else hi
+
+
 def lfilter_ou_state(params, cfg, trial: int) -> np.ndarray:
     """Zero-start OU path Z0(t_k), k = 0..n, of one trial, by the first-order
     scipy.signal.lfilter the library once used."""

@@ -145,12 +145,13 @@ def test_simulation_too_large_for_memory_exits_two(capsys, monkeypatch):
     ("--steps", "1000000000000", "physical memory"),
     ("--trials", "4294967297", "2**32"),
 ], ids=["steps-1e12", "trials-2**32+1"])
-def test_oversize_simulation_exits_two_before_it_integrates(capsys, monkeypatch, flag, value,
-                                                            message):
-    # a trajectory of 1e12 samples alone would not fit: the run is refused
-    # before the gain ODE is sampled, not by numpy's allocation error
-    monkeypatch.setattr(abel, "integrate_abel",
-                        lambda *args, **kwargs: pytest.fail("the trajectory was integrated"))
+def test_oversize_simulation_exits_two_before_it_allocates(capsys, monkeypatch, flag, value,
+                                                           message):
+    # a plan of 1e12 steps alone would not fit: the run is refused before
+    # the plan, the first thing a run allocates, is built, not by numpy's
+    # allocation error
+    monkeypatch.setattr(simulate, "_prepare_scheme",
+                        lambda *args, **kwargs: pytest.fail("the plan was built"))
     code = main(["simulate", "--lambda=-0.5", "--kappa", "1", "--power", "2", flag, value])
     assert code == 2
     captured = capsys.readouterr()

@@ -42,3 +42,31 @@ def test_every_private_function_has_a_caller_in_the_package():
                 used.add(node.attr)
     assert defined
     assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
+def test_every_defaulted_private_parameter_is_passed_in_the_package():
+    # a default that only tests override is a test-only knob: each defaulted
+    # parameter of a private function is passed, by position or by keyword,
+    # by some call in the package
+    defaults, passed = {}, {}
+    for path in sorted((ROOT / "src" / "oucap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    args = node.args.posonlyargs + node.args.args
+                    positional = args[len(args) - len(node.args.defaults):]
+                    keyword = [a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                               if d is not None]
+                    defaults[name] = [(args.index(a), a.arg) for a in positional] + [
+                        (None, a.arg) for a in keyword]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    knobs = [f"{name}({arg})" for name, params in defaults.items() for index, arg in params
+             if not any((index is not None and index < count) or arg in keywords
+                        for count, keywords in passed.get(name, []))]
+    assert defaults
+    assert knobs == []

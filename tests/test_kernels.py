@@ -77,7 +77,7 @@ def test_ou_kernel_alpha_beta_branches():
     k3 = ou_resolvent_kernel(ChannelParams(-1.0, 1.0, 1.0))
     assert k3.alpha == pytest.approx(1.0)
     assert k3.beta == 0.0
-    assert k3(2.0, 1.0) == pytest.approx(1.0 * (1.0 * 1.0 + 1.0) / (1.0 * 2.0 + 2.0))
+    assert k3.l_u(1.0) / k3.l_d(2.0) == pytest.approx(1.0 * (1.0 * 1.0 + 1.0) / (1.0 * 2.0 + 2.0))
 
 
 def test_ou_kernel_mirror_symmetry_of_ratios():
@@ -99,7 +99,8 @@ def test_separable_scaling_leaves_kernel_invariant():
         scaled = scaled_kernel(base, c)
         assert scaled.alpha == base.alpha and scaled.beta == base.beta
         for s, u in pts:
-            assert scaled(s, u) == pytest.approx(base(s, u), rel=1e-12)
+            assert scaled.l_u(u) / scaled.l_d(s) == pytest.approx(base.l_u(u) / base.l_d(s),
+                                                                  rel=1e-12)
             assert scaled.lu_over_ld(s) == base.lu_over_ld(s)
 
 
@@ -154,7 +155,8 @@ def test_sample_kernel_matches_direct_evaluation():
     for i in (0, 7, 20):
         for j in range(0, i + 1, 3):
             s, u = sampled.grid[i], sampled.grid[j]
-            assert sampled.values[i, j] == pytest.approx(kernel(s, u), rel=1e-12)
+            assert sampled.values[i, j] == pytest.approx(kernel.l_u(u) / kernel.l_d(s),
+                                                         rel=1e-12)
     assert np.all(np.triu(sampled.values, 1) == 0.0)
 
 
@@ -167,7 +169,8 @@ def test_kernel_row_decay_is_bounded():
         far = [kernel.lu_over_ld(t) for t in (0.0, 1.0, 100.0, 700.0, 1e6)]
         assert np.all(np.isfinite(far))
         for t in (0.0, 1.0, 10.0):
-            assert kernel(t, t) == pytest.approx(kernel.lu_over_ld(t), rel=1e-12)
+            assert kernel.l_u(t) / kernel.l_d(t) == pytest.approx(kernel.lu_over_ld(t),
+                                                                  rel=1e-12)
 
 
 # Grid sizes around the 64-row panels of recover_h_from_l and

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -35,7 +36,9 @@ from oucap import (
 
 from oracles import (
     direct_ljung_box,
+    grid_decode,
     joseph_filter_coefficients,
+    lazy_grid_decode,
     lfilter_ou_state,
     lfilter_stationary_arma_noise,
     simulate_noise,
@@ -889,7 +892,8 @@ def test_decode_message_draws_each_message_after_its_noise(traj_std):
     out_idx = np.array([cfg.steps], dtype=np.int64)
     backends._sk_numpy.filter_batch(grid[sent - 1], zeta0, xi1, xi2, *scheme.coeffs,
                                     out_idx, np.empty((cfg.trials, 1)), mtheta, None)
-    _, _, got_mtheta, got_sent = simulate._run_trials(P_STD, cfg, traj_std, out_idx, grid=grid)
+    _, _, got_mtheta, got_sent = simulate._run_trials(P_STD, cfg, traj_std, out_idx,
+                                                      messages=m_size)
     assert np.array_equal(got_sent, sent)
     assert np.array_equal(got_mtheta, mtheta)
     # nearest grid point by brute force
@@ -897,6 +901,93 @@ def test_decode_message_draws_each_message_after_its_noise(traj_std):
     want = np.count_nonzero(decoded != sent) / cfg.trials
     assert 0.0 < want < 1.0
     assert decode_message(P_STD, cfg, traj_std, grid_size=m_size) == want
+
+
+@pytest.mark.parametrize("params", [P_STD, ChannelParams(0.0, 1.0, 2.0)],
+                         ids=["colored", "white"])
+def test_decode_counts_equal_the_grid_oracle(params):
+    # at horizons this short many estimates miss their point: the
+    # three-point decision counts what the full grid counted
+    traj = make_traj(params, 2.0)
+    out_idx = np.array([300], dtype=np.int64)
+    missed = []
+    for m_size in (2, 3, 64, 1024, 100_000):
+        for horizon, seed in ((0.2, 83), (0.5, 84), (1.0, 85)):
+            cfg = SimConfig(horizon=horizon, steps=300, trials=200, master_seed=seed)
+            _, _, mtheta, sent = simulate._run_trials(params, cfg, traj, out_idx,
+                                                      messages=m_size)
+            errors = int(np.count_nonzero(grid_decode(m_size, mtheta) != sent))
+            assert decode_message(params, cfg, traj, grid_size=m_size) == errors / cfg.trials
+            missed.append(errors)
+    assert all(missed[:6]) and sum(0 < e < cfg.trials for e in missed) >= 9
+
+
+def _synthetic_decode_cases(rng):
+    """(M, w, estimate) for M from 2 to 2**40 and sampled messages w, both
+    ends among them: w's point, the midpoints to its neighbours and the two
+    floats on each side of them, 0 and +-50."""
+    sizes = [2, 3, 4, 5, 7, 64, 1000, 1024, 10**5, 2**31, 10**10, 10**12, 2**40 - 1, 2**40]
+    sizes += [int(2 ** rng.uniform(1, 40)) for _ in range(10)]
+    for m_size in sizes:
+        def point(w):
+            return NormalDist().inv_cdf((w - 0.5) / m_size)
+
+        messages = {1, 2, 3, m_size // 2, m_size // 2 + 1, m_size - 2, m_size - 1, m_size}
+        messages |= {rng.randint(1, m_size) for _ in range(3)}
+        for w in sorted(v for v in messages if 1 <= v <= m_size):
+            estimates = {point(w), 0.0, 50.0, -50.0}
+            for v in (w - 1, w + 1):
+                if 1 <= v <= m_size:
+                    mid = 0.5 * (point(w) + point(v))
+                    estimates.add(mid)
+                    for toward in (math.inf, -math.inf):
+                        x = mid
+                        for _ in range(2):
+                            x = math.nextafter(x, toward)
+                            estimates.add(x)
+            for est in sorted(estimates):
+                yield m_size, w, est
+
+
+def test_decision_is_the_grid_rule_up_to_two_to_the_forty():
+    # the grid oracle's bracket, found by bisection on points computed as it
+    # reads them, against the three-point decision at and around its answer
+    cases = 0
+    for m_size, w, est in _synthetic_decode_cases(random.Random(5)):
+        want = lazy_grid_decode(m_size, est)
+        for v in {want - 1, want, want + 1, w - 1, w, w + 1} - {0, m_size + 1}:
+            assert simulate._decodes(v, est, m_size) == (v == want), (m_size, v, est, want)
+            cases += 1
+    assert cases > 5000
+    # the bisection reads the grid as the full array does
+    rng = np.random.default_rng(5)
+    estimates = np.concatenate([[-50.0, 0.0, 50.0], rng.standard_normal(200)])
+    for m_size in (2, 3, 64, 1024):
+        assert list(grid_decode(m_size, estimates)) == [
+            lazy_grid_decode(m_size, float(e)) for e in estimates]
+
+
+def test_decode_peak_does_not_grow_with_messages(traj_std):
+    cfg = SimConfig(horizon=1.0, steps=300, trials=600, master_seed=86)
+    peaks = []
+    for m_size in (16, 2**40):
+        decode_message(P_STD, cfg, traj_std, grid_size=m_size)  # one-off allocations
+        tracemalloc.start()
+        try:
+            decode_message(P_STD, cfg, traj_std, grid_size=m_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 16_384
+
+
+def test_too_many_messages_are_refused_before_any_draw(traj_std, monkeypatch):
+    cfg = SimConfig(horizon=1.0, steps=300, trials=10, master_seed=87)
+    for name in ("_prepare_scheme", "_draw_batch"):
+        monkeypatch.setattr(simulate, name, lambda *a, **k: pytest.fail("a trial was run"))
+    with pytest.raises(ValueError, match=r"2\*\*40"):
+        decode_message(P_STD, cfg, traj_std, grid_size=2**40 + 1)
 
 
 def test_monte_carlo_holds_one_batch_of_draws_at_a_time(traj_std, monkeypatch):
@@ -1053,8 +1144,7 @@ def test_memory_estimate_bounds_the_traced_peak(traj_std):
                 (lambda: run_sk_scheme(P_STD, cfg, traj_std), {}),
                 (lambda: run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True),
                  {"innovations": True}),
-                (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000),
-                 {"grid_size": 100_000}),
+                (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000), {}),
                 (lambda: stationary_arma_noise(P_STD, cfg), {"sampler": True})):
             run()  # one-off allocations of a first call
             tracemalloc.start()
@@ -1101,8 +1191,7 @@ def test_oversize_run_is_refused_before_it_allocates(traj_std, monkeypatch):
     for run, kwargs in (
             (lambda: run_sk_scheme(P_STD, cfg, traj_std, return_innovations=True),
              {"innovations": True}),
-            (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000),
-             {"grid_size": 100_000}),
+            (lambda: decode_message(P_STD, cfg, traj_std, grid_size=100_000), {}),
             (lambda: stationary_arma_noise(P_STD, cfg), {"sampler": True})):
         need = simulate._check_memory(cfg, **kwargs)
         monkeypatch.setattr(simulate, "_physical_memory", lambda: need - 1)
