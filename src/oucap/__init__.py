@@ -87,6 +87,7 @@ _EXPORTS = {
         "p_max",
         "pinsker_rate",
         "waterfill_bandlimited",
+        "waterfill_sweep",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -15,7 +15,6 @@ run on Python floats.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from .capacity import (
 )
 from .channel import ChannelParams
 from .errors import FilterDivergence, MemoryBudgetExceeded, OucapError
-from .spectrum import flat_input_limit_sweep, waterfill_bandlimited
+from .spectrum import flat_input_limit_sweep, waterfill_sweep
 
 ODE_HORIZON_DEFAULT = 50.0
 SIM_HORIZON_DEFAULT = 10.0
@@ -128,8 +127,9 @@ def _out_suffix_error(args) -> str | None:
             f"writes {want}; give {want} or no suffix")
 
 
-def _emit(args, payloads: dict, summary: str | None) -> None:
-    """Print the summary, then payloads[args.format] or, with --out, the files.
+def _emit(args, payloads: dict) -> None:
+    """Print payloads["summary"] if there is one, then payloads[args.format]
+    or, with --out, the files.
 
     payloads maps each format to its text.  By default --out receives the
     chosen format (its suffix added when --out has none) and the manifest is
@@ -137,8 +137,8 @@ def _emit(args, payloads: dict, summary: str | None) -> None:
     its formats side by side as `<out stem><suffix>`, with the manifest at
     `<out stem>.manifest.json`.
     """
-    if summary:
-        print(summary)
+    if "summary" in payloads:
+        print(payloads["summary"])
     if args.out is None:
         sys.stdout.write(payloads[args.format])
         return
@@ -160,7 +160,7 @@ def _emit(args, payloads: dict, summary: str | None) -> None:
 
 
 # Each cmd_* computes one subcommand for the channel main built and returns
-# (payloads, summary line or None).
+# report's rendering of it.
 
 def cmd_capacity(args, params: ChannelParams):
     results = []
@@ -172,16 +172,7 @@ def cmd_capacity(args, params: ChannelParams):
         results.append(sk_rate_from_ode(solve_abel(abel_for_channel(params), args.horizon)))
     if args.route in ("discrete", "all"):
         results.append(discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS))
-    max_disc = None
-    if len(results) > 1:
-        values = [r.value for r in results]
-        max_disc = max(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
-    payloads = {
-        "text": report.capacity_text(params, results, max_disc),
-        "csv": report.capacity_csv(results),
-        "json": report.dump_json(report.capacity_payload(params, results, max_disc)),
-    }
-    return payloads, None
+    return report.capacity(params, results)
 
 
 def cmd_simulate(args, params: ChannelParams):
@@ -193,43 +184,15 @@ def cmd_simulate(args, params: ChannelParams):
     cfg = SimConfig(horizon=args.horizon, steps=args.steps, trials=args.trials,
                     master_seed=args.seed)
     rep = run_sk_scheme(params, cfg, solve_abel(abel_for_channel(params), cfg.horizon))
-    summary = f"max MMSE z-score {report.max_mmse_z(rep):.3f} (empirical vs analytic)"
-    payloads = {
-        "text": report.simulate_text(cfg, rep),
-        "csv": report.simulate_csv(rep),
-        "json": report.dump_json(report.simulate_payload(params, cfg, rep)),
-    }
-    return payloads, summary
+    return report.simulate(params, cfg, rep)
 
 
 def cmd_spectrum(args, params: ChannelParams):
     if args.sweep == "flat":
         rows = flat_input_limit_sweep(params, FLAT_N_DEFAULT, FLAT_K_DEFAULT)
-        header = ["n", "k", "rate", "analytic_limit"]
     else:
-        band = args.band
-        if not band / 100.0 > 0:
-            raise ValueError(f"band must be positive and at least 100 times the "
-                             f"smallest float, got {band!r}")
-        # numpy's geomspace(band / 100, band, 9) on libm: exact endpoints and
-        # 10^(lo + i (hi - lo)/8) between them
-        lo, hi = math.log10(band / 100.0), math.log10(band)
-        step = (hi - lo) / 8
-        bands = [band / 100.0, *(10.0 ** (lo + i * step) for i in range(1, 8)), band]
-        rows = []
-        for w in bands:
-            level, rate = waterfill_bandlimited(params, w, params.power)
-            # quartering P and w gives the same bits, and pi P cannot overflow
-            flat_noise = (w / (2.0 * math.pi)) * math.log1p(
-                math.pi * (0.25 * params.power) / (0.25 * w))
-            rows.append((w, level, rate, flat_noise))
-        header = ["band", "level", "rate", "analytic_limit"]
-    payloads = {
-        "text": report.spectrum_text(args.sweep, header, rows),
-        "csv": report.spectrum_csv(header, rows),
-        "json": report.dump_json(report.spectrum_payload(params, args.sweep, header, rows)),
-    }
-    return payloads, None
+        rows = waterfill_sweep(params, args.band)
+    return report.spectrum(params, args.sweep, rows)
 
 
 def main(argv=None) -> int:
@@ -240,7 +203,7 @@ def main(argv=None) -> int:
         parser.error(problem)
     try:
         params = ChannelParams(lam=args.lam, kappa=args.kappa, power=args.power)
-        _emit(args, *args.run(args, params))
+        _emit(args, args.run(args, params))
     except (ValueError, MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

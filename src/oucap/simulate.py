@@ -174,22 +174,6 @@ class SimReport:
     master_seed: int
     innovations: np.ndarray | None = None
 
-    @property
-    def mmse_curve(self) -> list[tuple[float, float, float, float]]:
-        return [
-            (float(t), float(e), float(a), float(h))
-            for t, e, a, h in zip(
-                self.times, self.mmse_emp, self.mmse_analytic, self.mmse_hw
-            )
-        ]
-
-    @property
-    def power_curve(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(t), float(e), float(h))
-            for t, e, h in zip(self.times, self.power_emp, self.power_hw)
-        ]
-
 
 # NumPy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) hashes its
 # entropy into a pool of 4 uint32 words with these constants
@@ -635,10 +619,8 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     """
     _check_memory(cfg, innovations=return_innovations)
     n = cfg.steps
-    idx = np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64)
-    # the rounded indices never decrease, so the distinct ones are those
-    # above their predecessor (np.unique would import numpy.ma)
-    out_idx = idx[np.diff(idx, prepend=-1) > 0]
+    # steps >= 100, so the rounded indices are strictly increasing
+    out_idx = np.round(np.linspace(0, n, OUTPUT_POINTS)).astype(np.int64)
     innov_rows = np.empty((cfg.trials, n)) if return_innovations else None
     scheme, sq_rows, _, _ = _run_trials(params, cfg, traj, out_idx,
                                         innov_rows=innov_rows)

@@ -226,6 +226,29 @@ def waterfill_bandlimited(params: ChannelParams, band: float, power: float) -> t
     return level, rate
 
 
+def waterfill_sweep(params: ChannelParams, band: float) -> list[tuple[float, float, float, float]]:
+    """Water-filling at power params.power on nine half-bandwidths from
+    band/100 to band, numpy's geomspace(band/100, band, 9) computed on libm:
+    exact endpoints and 10^(lo + i (hi - lo)/8) between them.
+
+    Each row is (w, level, rate, analytic_limit), with analytic_limit the
+    flat-noise rate (w/2pi) log(1 + pi P/w) on the same band.  ValueError
+    if band/100 is not positive, or as waterfill_bandlimited raises.
+    """
+    if not band / 100.0 > 0:
+        raise ValueError(f"band must be positive and at least 100 times the "
+                         f"smallest float, got {band!r}")
+    lo, hi = math.log10(band / 100.0), math.log10(band)
+    step = (hi - lo) / 8
+    rows = []
+    for w in (band / 100.0, *(10.0 ** (lo + i * step) for i in range(1, 8)), band):
+        level, rate = waterfill_bandlimited(params, w, params.power)
+        # quartering P and w gives the same bits, and pi P cannot overflow
+        flat_noise = (w / TWO_PI) * math.log1p(math.pi * (0.25 * params.power) / (0.25 * w))
+        rows.append((w, level, rate, flat_noise))
+    return rows
+
+
 def p_max(params: ChannelParams) -> float:
     """Total water the noise well holds below the flat floor 1/(2 pi).
 

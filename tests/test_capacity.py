@@ -10,6 +10,7 @@ from oucap import (
     ChannelParams,
     DEFAULT_SWEEP_DELTAS,
     InvalidArma,
+    NotConverged,
     RootNotBracketed,
     Route,
     arma_from_step,
@@ -262,6 +263,19 @@ def test_discrete_limit_residual_bounds_actual_error(triple, _expected):
     result = discrete_limit_capacity(params, DEFAULT_SWEEP_DELTAS)
     error = abs(result.value - feedback_capacity_closed_form(params).value)
     assert error <= result.residual < 1e-5
+
+
+@pytest.mark.parametrize("power", [1e4, 1e10])
+def test_discrete_limit_refuses_a_step_too_coarse_for_the_power(power):
+    # P = 1e4 returned 4227.98 with residual 560 against 5001, and P = 1e10
+    # returned 105843 with residual 4.38e4 against 5e9
+    with pytest.raises(NotConverged, match="finest step"):
+        discrete_limit_capacity(ChannelParams(-0.5, 1.0, power), DEFAULT_SWEEP_DELTAS)
+
+
+def test_discrete_limit_residual_bounds_its_error_at_the_largest_power_it_takes():
+    result = discrete_limit_capacity(ChannelParams(-0.5, 1.0, 1e3), DEFAULT_SWEEP_DELTAS)
+    assert abs(result.value - capacity_cubic_exact(-0.5, 1.0, 1e3)) <= result.residual
 
 
 def test_discrete_limit_refuses_fewer_than_three_deltas():

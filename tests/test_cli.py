@@ -57,12 +57,32 @@ def test_capacity_all_routes_agree(capsys):
     assert values[0] == pytest.approx(1.547911999318, abs=1e-9)
 
 
+def test_white_regime_discrepancy_leaves_out_the_schemes_rate(capsys):
+    # outside the colored regime the ODE route is the scheme's rate 0.576,
+    # not the capacity 1: the discrepancy once read 0.424
+    payload = run_json(capsys, ["capacity", "--lambda", "0.5", "--kappa", "1",
+                                "--power", "2", "--route", "all"])
+    check("capacity", payload)
+    values = {r["route"]: r["value"] for r in payload["results"]}
+    assert values["OdeLimit"] < 0.6
+    assert payload["max_discrepancy"] == abs(values["ClosedForm"] - values["DiscreteLimit"])
+    assert payload["max_discrepancy"] < 1e-8
+
+
 def test_capacity_single_route_no_discrepancy(capsys):
     payload = run_json(capsys, ["capacity", "--lambda", "-0.5", "--kappa", "1",
                                 "--power", "2"])
     check("capacity", payload)
     assert payload["max_discrepancy"] is None
     assert len(payload["results"]) == 1
+
+
+def test_discrete_route_at_high_power_exits_three(capsys):
+    assert main(["capacity", "--lambda=-0.5", "--kappa", "1", "--power", "1e4",
+                 "--route", "discrete"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_capacity_ode_route_critical_coloring_fails(capsys):

@@ -629,6 +629,14 @@ def test_filter_variance_tracks_analytic_with_first_order_bias():
     assert 1.5 < ratio < 2.7  # halving delta roughly halves the bias
 
 
+def test_output_indices_strictly_increase_from_the_smallest_step_count():
+    # SimConfig takes steps >= 100, so the 101 rounded indices of run_sk_scheme's
+    # output grid are distinct without a dedupe
+    for n in (*range(100, 20001), 100000, 123457, 999999, 1000000):
+        idx = np.round(np.linspace(0, n, simulate.OUTPUT_POINTS)).astype(np.int64)
+        assert idx.size == 101 and np.all(idx[1:] > idx[:-1]), n
+
+
 def test_power_curve_flat_at_budget(traj_std):
     cfg = SimConfig(horizon=10.0, steps=2000, trials=3000, master_seed=47)
     rep = run_sk_scheme(P_STD, cfg, traj_std)
@@ -1222,13 +1230,10 @@ def test_physical_memory_comes_from_sysconf(monkeypatch):
     assert simulate._physical_memory() is None
 
 
-@pytest.mark.parametrize("points", [101, 301])
-def test_output_indices_are_the_distinct_rounded_grid(traj_std, monkeypatch, points):
-    # np.unique is the reference; at 301 points the rounded grid repeats
-    # indices on every grid below 300 steps
-    monkeypatch.setattr(simulate, "OUTPUT_POINTS", points)
+def test_output_indices_are_the_distinct_rounded_grid(traj_std):
+    # np.unique is the reference
     for steps in (100, 150, 199, 333):
         cfg = SimConfig(horizon=2.0, steps=steps, trials=2, master_seed=1)
         rep = run_sk_scheme(P_STD, cfg, traj_std)
-        want = np.unique(np.round(np.linspace(0, steps, points)).astype(np.int64))
+        want = np.unique(np.round(np.linspace(0, steps, 101)).astype(np.int64))
         assert np.array_equal(rep.times, (np.arange(steps + 1) * cfg.delta)[want])

@@ -13,6 +13,7 @@ from oucap import (
     p_max,
     pinsker_rate,
     waterfill_bandlimited,
+    waterfill_sweep,
 )
 
 from oracles import (
@@ -286,3 +287,16 @@ def test_exact_integrals_match_quadrature_oracle(ratio, kappa, power, offset, wi
     level, rate = waterfill_bandlimited(params, width, power)
     expect = waterfill_rate_quad(lam, kappa, width, level)
     assert rate == pytest.approx(expect, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("band", [1000.0, 37.5])
+def test_waterfill_sweep_fills_each_band_of_its_grid_at_the_channels_power(band):
+    params = ChannelParams(-0.5, 1.0, 2.0)
+    rows = waterfill_sweep(params, band)
+    assert [row[0] for row in rows][::8] == [band / 100.0, band]
+    for w, level, rate, flat_noise in rows:
+        assert (level, rate) == waterfill_bandlimited(params, w, params.power)
+        assert flat_noise == pytest.approx(w / (2 * math.pi) * math.log1p(math.pi * 2.0 / w),
+                                           rel=1e-15)
+    with pytest.raises(ValueError, match="100 times the smallest float"):
+        waterfill_sweep(params, 1e-322)
