@@ -9,7 +9,10 @@ The coded input is X(t) = A(t)(Theta - E[Theta | observations]) with
 
 where p = -l_d'/l_d and q = (l_u + l_d')/l_d come from the separable
 resolvent kernel.  The scheme's information rate is P * r^2 for the root r
-of the limiting cubic that g(t) settles on, bracketed and bisected.
+of the limiting cubic that g(t) tends to: the equation is scalar and
+asymptotically autonomous, so its bounded g tends to one root (L. Markus
+1956; H. R. Thieme, J. Math. Biol. 30 (1992) 755-763), the only real one
+at any horizon, or the one g(T) is trapped beside (_reached_root).
 
 The ODE is integrated by a Dormand-Prince 5(4) stepper on Python floats, a
 port of scipy's RK45 (same tolerances, step control and dense output).
@@ -23,10 +26,9 @@ interpolated once, by the stepper's own polynomials.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .channel import CapacityResult, ChannelParams, Route
@@ -84,18 +86,15 @@ class AbelSolution:
     steps holds 16 doubles per accepted step: its start time, its size, g
     and s = log A - log sqrt(P) at its start, and the six stage slopes of g
     and of s, from which _dense_output evaluates g and log A at any time in
-    [0, horizon].  r_limit is the stepper's own end state g(horizon).
-    g_tail is its state at the last accepted step boundary at or before 0.9
-    horizon, so the tail window from there to the horizon covers at least
-    the last tenth.  sk_rate_from_ode and classify_root_convergence read
-    only these scalars.
+    [0, horizon].  r_limit is the stepper's own end state g(horizon), and
+    coeffs the coefficients integrated, which sk_rate_from_ode reads.
     """
 
     steps: array
     power: float
     horizon: float
     r_limit: float
-    g_tail: float
+    coeffs: AbelCoefficients
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,22 @@ class OdeTrajectory(AbelSolution):
         return np.exp(self.log_a)
 
 
-def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
-    """Case label and ascending real roots of the limiting cubic
-    -P y^3 + (P/sqrt 2) y^2 + p_limit y + q_limit/sqrt 2.
-
-    roots.cubic_roots bisects each root on its bracket between the critical
-    points and labels the case from those sign changes (see there), on the
-    coefficients negated and scaled by the power of 2 that brings the
-    largest into [1/2, 1); a power below 2^-1022 of that raises ValueError.
-    """
+def _limiting_cubic(coeffs: AbelCoefficients) -> tuple:
+    """The limiting cubic's coefficients negated and scaled by the power of
+    2 that brings the largest into [1/2, 1); ValueError below 2^-1022."""
     coefficients = (coeffs.power, -coeffs.power / SQRT2, -coeffs.p_limit, -coeffs.q_limit / SQRT2)
     k = math.frexp(max(abs(x) for x in coefficients))[1]
     a, b, c, d = (math.ldexp(x, -k) for x in coefficients)
     if not a >= 2.0 ** -1022:
         raise ValueError(f"power {coeffs.power!r} is too small for the limiting cubic")
-    return cubic_roots(a, b, c, d)
+    return a, b, c, d
+
+
+def limiting_cubic_roots(coeffs: AbelCoefficients) -> tuple[str, tuple]:
+    """Case label and ascending real roots of the limiting cubic
+    -P y^3 + (P/sqrt 2) y^2 + p_limit y + q_limit/sqrt 2, by
+    roots.cubic_roots on _limiting_cubic's coefficients."""
+    return cubic_roots(*_limiting_cubic(coeffs))
 
 
 @dataclass(frozen=True)
@@ -319,10 +319,7 @@ def solve_abel(coeffs: AbelCoefficients, horizon: float) -> AbelSolution:
 
     horizon = float(horizon)
     steps, g_end = _dormand_prince(rhs, P, 1.0 / SQRT2, horizon)
-    # the first step starts at 0, so some step starts at or before 0.9 horizon
-    i = bisect.bisect_right(steps[::16], 0.9 * horizon) - 1
-    return AbelSolution(steps=steps, power=P, horizon=horizon, r_limit=g_end,
-                        g_tail=steps[16 * i + 2])
+    return AbelSolution(steps=steps, power=P, horizon=horizon, r_limit=g_end, coeffs=coeffs)
 
 
 def _dense_output(sol: AbelSolution, times: np.ndarray, log_a: bool = False) -> np.ndarray:
@@ -382,44 +379,46 @@ def integrate_abel(coeffs: AbelCoefficients, horizon: float,
                          log_a=_dense_output(sol, times, log_a=True))
 
 
-def _check_settled(result: AbelSolution) -> None:
-    """NotConverged unless |g(T) - g_tail| < 1e-8."""
-    gap = abs(result.r_limit - result.g_tail)
-    if not gap < 1e-8:
-        raise NotConverged(
-            f"trajectory tail gap {gap:.3e} >= 1e-8 at horizon "
-            f"{result.horizon}; integrate further")
+def _reached_root(sol: AbelSolution) -> RootConvergence:
+    """The limiting-cubic root g tends to: the only real one, or the one
+    nearest g(T) if trapped there, else NotConverged.  For t >= T the
+    channel's p and q (Mobius in time, without a pole) lie between their
+    values at T and their limits, and f rises with both while g > 0, which
+    q >= 0 keeps.  So g leaves the smallest root's basin only upward, past
+    the middle root of the cubic at the upper corner of (p, q), and the
+    largest root's only downward, past that of the lower corner's."""
+    coeffs, g, T = sol.coeffs, sol.r_limit, sol.horizon
+    case, roots = limiting_cubic_roots(coeffs)
+    i = min(range(len(roots)), key=lambda k: abs(roots[k] - g))
+    if len(roots) > 1:
+        ps = sorted((coeffs.p(T), coeffs.p_limit))
+        qs = sorted((coeffs.q(T), coeffs.q_limit))
+        bound = limiting_cubic_roots(replace(coeffs, p_limit=ps[i == 0], q_limit=qs[i == 0]))[1]
+        if not (i in (0, len(roots) - 1) and g > 0.0 and qs[0] >= 0.0 and len(bound) == 3
+                and (g < bound[1] if i == 0 else g > bound[1])):
+            raise NotConverged(f"g({T:g}) = {g!r} is not trapped beside the limiting-cubic "
+                               f"root {roots[i]!r} of {roots}; integrate further")
+    return RootConvergence(case=case, roots=roots, root_index=i)
 
 
 def sk_rate_from_ode(result: AbelSolution) -> CapacityResult:
-    """Information rate P * r_limit^2 of the feedback scheme, from
-    solve_abel's result or integrate_abel's trajectory (the same bits).
+    """Information rate P r^2 of the feedback scheme, r from _reached_root,
+    on solve_abel's result or integrate_abel's trajectory (the same bits).
 
-    Requires a settled solution: |g(T) - g_tail| < 1e-8, where g_tail is
-    the state at the last accepted step boundary at or before 0.9 T, else
-    NotConverged.  residual reports |value - P g_tail^2|, the spread over
-    that tail window (at least the last tenth of the horizon) mapped to
-    rate units.  In the colored-gain regime the value is the channel
-    capacity; otherwise it is the scheme's rate, a strict lower bound of
-    P/2.
-    """
-    _check_settled(result)
-    P = result.power
-    value = P * result.r_limit ** 2
-    residual = abs(value - P * result.g_tail ** 2)
-    return CapacityResult(value=value, route=Route.ODE_LIMIT, residual=residual)
+    residual, 2 P r dr + 4 ulp, dr = (|f(r)| + 8 * 2^-53 sum |terms of
+    f(r)|)/|f'(r)| on the scaled limiting cubic f, bounds the error as the
+    closed form's does.  The value is the capacity in the colored-gain
+    regime, else the scheme's rate, below P/2."""
+    r = _reached_root(result).root
+    a, b, c, d = _limiting_cubic(result.coeffs)
+    terms = (a * r * r * r, b * r * r, c * r, d)
+    slope = abs((3.0 * a * r + 2.0 * b) * r + c)
+    dr = (abs(sum(terms)) + 2.0 ** -50 * sum(map(abs, terms))) / slope if slope else math.inf
+    value = result.power * r * r
+    return CapacityResult(value=value, route=Route.ODE_LIMIT,
+                          residual=result.power * (2.0 * r * dr) + 4.0 * math.ulp(value))
 
 
-def classify_root_convergence(coeffs: AbelCoefficients,
-                              horizon: float) -> RootConvergence:
-    """Integrate to `horizon` and report which limiting-cubic root g
-    converged to, with the case label read from the cubic's sign changes.
-
-    Raises NotConverged under the same window test as sk_rate_from_ode.
-    """
-    sol = solve_abel(coeffs, horizon)
-    _check_settled(sol)
-    case, roots = limiting_cubic_roots(coeffs)
-    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - sol.r_limit))
-    return RootConvergence(case=case, roots=roots, root_index=idx)
-
+def classify_root_convergence(coeffs: AbelCoefficients, horizon: float) -> RootConvergence:
+    """_reached_root on solve_abel's run to `horizon`."""
+    return _reached_root(solve_abel(coeffs, horizon))

@@ -60,11 +60,11 @@ class ChannelParams:
 class CapacityResult:
     """A capacity value in nats per unit time with route and diagnostics.
 
-    residual is the route's accuracy diagnostic: the defining cubic at the
-    root over its slope, at least 4 ulp, for the closed form; the rate spread
-    from the last ODE step boundary at or before 0.9 of the horizon to its
-    end (at least the last tenth) for the ODE limit; the spread of the
-    last two Richardson values for the discrete limit.
+    residual is the route's accuracy diagnostic: for the closed form the
+    defining cubic at the root over its slope, at least 4 ulp; for the ODE
+    limit the same bound on the limiting cubic's root, widened by that
+    cubic's rounding, plus 4 ulp; the spread of the last two Richardson
+    values for the discrete limit.
     """
 
     value: float

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--route", choices=("closed", "ode", "discrete", "all"),
                      default="closed")
     cap.add_argument("--horizon", type=float, default=ODE_HORIZON_DEFAULT,
-                     help=f"ODE-route horizon (default {ODE_HORIZON_DEFAULT:g})")
+                     help="ODE-route horizon; it picks the root only where the limiting "
+                     f"cubic has several (default {ODE_HORIZON_DEFAULT:g})")
     _output_args(cap)
     cap.set_defaults(run=cmd_capacity)
 

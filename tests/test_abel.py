@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import oucap.abel as abel
 from oucap import (
@@ -99,11 +100,30 @@ def test_ode_limit_matches_closed_form_when_offset():
         assert value == pytest.approx(closed, abs=1e-6)
 
 
-def test_not_converged_at_critical_coloring_short_horizon():
+def assert_honest(result, lam, kappa, power):
+    assert abs(result.value - capacity_cubic_exact(lam, kappa, power)) <= result.residual
+
+
+def test_critical_coloring_gives_the_cubic_root_at_any_horizon():
+    # g approaches its limit only like 1/t here, and the tail test once
+    # raised NotConverged at horizon 50; the limiting cubic has one real
+    # root, so the value is P r^2 whatever the horizon
     params = ChannelParams(-1.0, 1.0, 2.0)
-    traj = integrate_abel(abel_for_channel(params), horizon=50.0, step=0.05)
-    with pytest.raises(NotConverged):
-        sk_rate_from_ode(traj)
+    coeffs = abel_for_channel(params)
+    results = [sk_rate_from_ode(solve_abel(coeffs, horizon)) for horizon in (0.5, 50.0, 500.0)]
+    assert results[0] == results[1] == results[2]
+    assert_honest(results[0], -1.0, 1.0, 2.0)
+    assert results[0].residual < 1e-14
+
+
+@pytest.mark.parametrize("lam, kappa, power, exact", [
+    (-1e-300, 1e-300, 1e-300, 1.4375648970813894e-300),  # the tail test read 5e-301
+    (-1.0, 1.0, 1e-300, 7.937005259840997e-101),
+])
+def test_ode_route_at_tiny_scales_is_the_cubic_root(lam, kappa, power, exact):
+    assert capacity_cubic_exact(lam, kappa, power) == exact
+    result = sk_rate_from_ode(solve_abel(abel_for_channel(ChannelParams(lam, kappa, power)), 50.0))
+    assert_honest(result, lam, kappa, power)
 
 
 def test_critical_coloring_converges_on_long_horizon():
@@ -190,6 +210,88 @@ def test_classified_convergence_for_positive_lam_below_half_power():
     assert params.power * conv.root**2 < params.power / 2.0
     assert conv.case in ("OneReal", "ThreeDistinct", "DoubleRoot")
     assert conv.roots[conv.root_index] == conv.root
+
+
+@pytest.mark.parametrize("lam, kappa, power", [
+    (-2.09816575783472e-08, 1.5855752663016909, 0.2385988403627643),
+    (-1.1490765972397888e-08, 0.025708338784239063, 0.46706876033991257),
+    (-0.00015275453400840212, 0.029503879427587195, 2.5493766226809064e-05),
+])
+def test_ode_residual_covers_the_rounding_of_the_cubic(lam, kappa, power):
+    # each value is 5 ulp off the exact root, more than |f(r)|/|f'(r)| and
+    # the 4-ulp floor allow without the 8 * 2^-53 sum |terms| term
+    result = sk_rate_from_ode(solve_abel(abel_for_channel(ChannelParams(lam, kappa, power)), 50.0))
+    assert abs(result.value - capacity_cubic_exact(lam, kappa, power)) == 5.0 * math.ulp(result.value)
+    assert_honest(result, lam, kappa, power)
+
+
+# lam/kappa near the critical colouring -1 on either side, and near the
+# boundaries 0 and -2 from inside the colored regime
+EPSILON = st.floats(min_value=-12.0, max_value=-1.0).map(lambda u: 10.0 ** u)
+COLORED_RATIO = st.one_of(
+    st.tuples(EPSILON, st.sampled_from([-1.0, 1.0])).map(lambda e: -1.0 - e[1] * e[0]),
+    EPSILON.map(lambda e: -e),
+    EPSILON.map(lambda e: e - 2.0),
+    st.just(-1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(COLORED_RATIO, st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-6.0, max_value=3.0))
+def test_ode_route_residual_bounds_its_error_on_colored_channels(ratio, log10_kappa,
+                                                                 log10_p_over_kappa):
+    # the colored cubic has one real root, so the value does not depend on
+    # the horizon: P T <= 5e3 (about 750 steps) keeps P = 1e6 from spending
+    # seconds on the step budget, which a test of its own covers
+    kappa = 10.0 ** log10_kappa
+    lam, power = ratio * kappa, kappa * 10.0 ** log10_p_over_kappa
+    coeffs = abel_for_channel(ChannelParams(lam, kappa, power))
+    assert_honest(sk_rate_from_ode(solve_abel(coeffs, min(50.0, 5e3 / power))), lam, kappa, power)
+
+
+def limit_by_radau(coeffs, horizon):
+    # scipy's implicit Radau on g alone, independent of the library's stepper
+    P = coeffs.power
+    sol = solve_ivp(lambda t, y: [-P * y[0] ** 3 + (P / SQRT2) * y[0] ** 2
+                                  + coeffs.p(t) * y[0] + coeffs.q(t) / SQRT2],
+                    (0.0, horizon), [1.0 / SQRT2], method="Radau", rtol=1e-10, atol=1e-12)
+    assert sol.success, sol.message
+    return float(sol.y[0][-1])
+
+
+@pytest.mark.parametrize("lam, value", [(100.0, 0.05443788247174921),
+                                        (-100.0, 0.056922890652494)])
+def test_three_root_channel_is_certified_on_its_smallest_root(lam, value):
+    # white-equivalent at large |lam| and P: g(T) is trapped below the
+    # middle root from a horizon of 3e-3 on, and a long Radau run settles
+    # on the smallest root too
+    coeffs = abel_for_channel(ChannelParams(lam, 1.0, 1e3))
+    for horizon in (0.01, 0.1, 1.0, 10.0, 50.0):
+        conv = classify_root_convergence(coeffs, horizon)
+        assert (conv.case, conv.root_index) == ("ThreeDistinct", 0)
+        assert sk_rate_from_ode(solve_abel(coeffs, horizon)).value == value
+    assert limit_by_radau(coeffs, 500.0) == pytest.approx(conv.root, rel=1e-12)
+    with pytest.raises(NotConverged, match="not trapped"):
+        sk_rate_from_ode(solve_abel(coeffs, 1e-3))
+
+
+def test_double_root_is_certified_from_its_attracting_side_only():
+    # this channel's limiting cubic is -P (y - 0.1)^2 (y - b): g passes near
+    # the double root 0.1 and returns to b, and only from horizon 1 on is
+    # it trapped above the lower corner cubic's middle root
+    coeffs = abel_for_channel(ChannelParams(14.536529876420751, 1.0, 139.4394252689803))
+    for horizon in (0.01, 0.1):
+        with pytest.raises(NotConverged, match="not trapped"):
+            classify_root_convergence(coeffs, horizon)
+    conv = classify_root_convergence(coeffs, 50.0)
+    assert (conv.case, conv.root_index) == ("DoubleRoot", 2)
+    assert limit_by_radau(coeffs, 50.0) == pytest.approx(conv.root, rel=1e-9)
+    # p = -10 e^{-t}, q = 0: g falls to about 3e-5 and then creeps away from
+    # the double root 0 like 1/t, which no trap certifies
+    creeping = AbelCoefficients(p=lambda t: -10.0 * math.exp(-t), q=lambda t: 0.0,
+                                p_limit=0.0, q_limit=0.0, power=2.0)
+    with pytest.raises(NotConverged, match="not trapped"):
+        classify_root_convergence(creeping, 50.0)
 
 
 def test_fixed_point_residual_invariant():
@@ -410,7 +512,8 @@ def test_integrate_abel_matches_solve_ivp_oracle(lam, kappa, power):
         g, log_a = abel_solve_ivp(coeffs, horizon, step)
         assert np.max(np.abs(traj.g - g)) < 1e-11
         assert np.max(np.abs(traj.log_a - log_a)) < 1e-11
-    # the ODE route's value, where it settles, is the oracle's P g(T)^2
+    # away from critical colouring g has settled by T = 50: the route's
+    # P r^2 is the oracle's P g(T)^2
     if abs(lam + kappa) > 0.0:
         value = sk_rate_from_ode(integrate_abel(coeffs, horizon=50.0, step=0.05)).value
         assert abs(value - power * float(abel_solve_ivp(coeffs, 50.0, 0.05)[0][-1]) ** 2) < 1e-9
@@ -509,7 +612,7 @@ def test_sampled_trajectory_bits_are_pinned(channel):
     # the trajectory carries the float solution's scalars, so the rate has
     # the same bits on either, or fails the same way
     sol = solve_abel(coeffs, 50.0)
-    assert (traj.power, traj.r_limit, traj.g_tail) == (sol.power, sol.r_limit, sol.g_tail)
+    assert (traj.power, traj.r_limit) == (sol.power, sol.r_limit)
     assert sol.r_limit == pytest.approx(traj.g[-1], abs=1e-15)
     outcomes = []
     for result in (traj, sol):
@@ -519,11 +622,3 @@ def test_sampled_trajectory_bits_are_pinned(channel):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
 
-
-def test_tail_state_is_the_last_step_boundary_before_nine_tenths():
-    # so the rate's tail window covers at least the last tenth
-    for horizon in (10.0, 50.0, 123.4):
-        sol = solve_abel(abel_for_channel(ChannelParams(-0.5, 1.0, 2.0)), horizon)
-        starts = list(sol.steps[::16])
-        i = max(k for k, t in enumerate(starts) if t <= 0.9 * horizon)
-        assert sol.g_tail == sol.steps[16 * i + 2]

@@ -14,6 +14,8 @@ import oucap.abel as abel
 import oucap.simulate as simulate
 from oucap.cli import main
 
+from oracles import capacity_cubic_exact
+
 
 def load_schema(name):
     path = resources.files("oucap") / "schemas" / f"{name}.schema.json"
@@ -85,12 +87,25 @@ def test_discrete_route_at_high_power_exits_three(capsys):
     assert "error:" in captured.err
 
 
-def test_capacity_ode_route_critical_coloring_fails(capsys):
-    code = main(["capacity", "--lambda", "-1", "--kappa", "1", "--power", "2",
-                 "--route", "ode"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "error:" in err
+def test_capacity_ode_route_at_critical_coloring_is_the_cubic_root(capsys):
+    # g settles only like 1/t here, and the route once exited 3 at the
+    # default horizon; the limiting cubic's one real root needs no settling
+    payload = run_json(capsys, ["capacity", "--lambda", "-1", "--kappa", "1", "--power", "2",
+                                "--route", "ode"])
+    (result,) = payload["results"]
+    assert abs(result["value"] - capacity_cubic_exact(-1.0, 1.0, 2.0)) <= result["residual"]
+
+
+def test_capacity_all_routes_near_critical_coloring(capsys):
+    # the tail test once exited 3 here, with a gap of 3.64e-6
+    payload = run_json(capsys, ["capacity", "--lambda=-0.9", "--kappa", "1", "--power", "2",
+                                "--route", "all"])
+    check("capacity", payload)
+    assert [r["route"] for r in payload["results"]] == ["ClosedForm", "OdeLimit",
+                                                        "DiscreteLimit"]
+    exact = capacity_cubic_exact(-0.9, 1.0, 2.0)
+    for result in payload["results"]:
+        assert abs(result["value"] - exact) <= result["residual"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -216,13 +231,14 @@ def test_waterfill_at_the_largest_power_matches_the_flat_noise_column(capsys):
 FUZZ_LAMBDAS = (0.5, -0.5, -1.0, -2.0, 0.0, 1e308, -1e308, 1e-300, -1e-300)
 FUZZ_KAPPAS = (1.0, 1e-300, 1e308, 1e-20, 1e20)
 FUZZ_POWERS = (2.0, 0.0, 1e308, 1e-300)
-FUZZ_RUNS = (("capacity", "--route", "closed"), ("capacity", "--route", "discrete"),
+FUZZ_RUNS = (("capacity", "--route", "closed"), ("capacity", "--route", "ode"),
+             ("capacity", "--route", "discrete"), ("capacity", "--route", "all"),
              ("spectrum", "--sweep", "flat"), ("spectrum", "--sweep", "waterfill"))
 
 
 def test_extreme_inputs_give_finite_output_or_a_typed_error(capsys):
     # every exception is a failure here, RuntimeWarnings included
-    # (pyproject's filterwarnings); 720 calls
+    # (pyproject's filterwarnings); 1080 calls
     for lam, kappa, power, run in itertools.product(FUZZ_LAMBDAS, FUZZ_KAPPAS,
                                                     FUZZ_POWERS, FUZZ_RUNS):
         argv = [run[0], f"--lambda={lam!r}", f"--kappa={kappa!r}", f"--power={power!r}",
