@@ -24,12 +24,13 @@ stream.  Aggregation is in trial order with a fixed batch size, so results
 are bit-identical regardless of batching or thread count.
 
 No generator is built per trial.  Child i is SeedSequence(master_seed,
-spawn_key=(i,)), and _seed_words runs NumPy's SeedSequence hash for every
-trial of a batch in one pass on a uint32 array, one trial index per element
-(SimConfig keeps the indices below 2**32); PCG64's seeding step turns each
-trial's 4 words into its 128-bit state in Python ints, and each drawing
-thread keeps one PCG64 whose state it sets once per trial (_fill_trial).
-The states are bit for bit those of numpy's own construction.
+spawn_key=(i,)), and _seed_words seeds every trial of a batch in one pass
+from numpy's own pool, SeedSequence(master_seed)'s, plus the trial index
+mixed in on arrays: a uint32 array, one trial index per element (SimConfig
+keeps the indices below 2**32); PCG64's seeding step turns each trial's 4
+words into its 128-bit state in Python ints, and each drawing thread keeps
+one PCG64 whose state it sets once per trial (_fill_trial).  The states are
+bit for bit those of numpy's own construction.
 
 Everything that depends on the channel, the grid and the gain ODE's
 solution but not on the trials or the seed (the gain on the grid, the
@@ -175,9 +176,8 @@ class SimReport:
     innovations: np.ndarray | None = None
 
 
-# NumPy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) hashes its
-# entropy into a pool of 4 uint32 words with these constants
-_POOL_SIZE = 4
+# NumPy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx) mixes its
+# entropy with these constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -187,38 +187,13 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _words32(n: int) -> list[int]:
-    """A nonnegative int as SeedSequence reads it: its 32-bit words, least
-    significant first, [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-# SeedSequence's two mixing steps, on Python ints and uint32 arrays alike:
-# the masks keep Python ints to 32 bits, and uint32 arrays wrap by themselves
-# (a numpy scalar would warn on overflow instead).
 def _hashmix(value, h: int, mult: int = _MULT_A):
-    """(value hashed with the hash constant h, the next hash constant)."""
+    """SeedSequence's hashmix on a uint32 array: (value hashed with the hash
+    constant h, the next hash constant)."""
     value = value ^ h
     h = h * mult & _MASK32
-    value = value * h & _MASK32
+    value = value * h
     return value ^ value >> 16, h
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _absorb(pool: list, word, h: int) -> int:
-    """Mix one entropy word past the pool's first fill into every pool word;
-    returns the next hash constant."""
-    for dst in range(_POOL_SIZE):
-        hashed, h = _hashmix(word, h)
-        pool[dst] = _mix(pool[dst], hashed)
-    return h
 
 
 def _seed_words(master_seed: int, lo: int, hi: int) -> np.ndarray:
@@ -226,32 +201,29 @@ def _seed_words(master_seed: int, lo: int, hi: int) -> np.ndarray:
     np.uint64), the words PCG64 seeds from, for trials i = lo..hi-1 in one
     pass; hi is at most 2**32, so that each index is one 32-bit word.
 
-    The entropy is master_seed's words, padded with zeros to the pool size
-    (a spawn key follows), then the trial index.  The part common to every
-    trial is mixed once in Python ints; the indices are then mixed in on a
-    uint32 array, one trial per element, and the pool is hashed out into 8
-    words read in pairs as little-endian uint64.
+    That child's entropy is master_seed's 32-bit words, padded with zeros to
+    the pool's 4 (which hashes as SeedSequence(master_seed) does without
+    padding), then the trial index.  So the children start from numpy's own
+    pool of SeedSequence(master_seed), and from the hash constant its mixing
+    left: every hashmix call steps it by _MULT_A whatever it hashes, 16
+    times to fill and stir the pool and 4 times per word past the pool's 4,
+    so 4 max(4, words) times in all.
+    The trial indices are then mixed into the pool words on a uint32 array,
+    one trial per element, and the pool is hashed out into 8 words read in
+    pairs as little-endian uint64.
     """
-    run = _words32(master_seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    h = _INIT_A
-    pool = []
-    for word in run[:_POOL_SIZE]:
-        word, h = _hashmix(word, h)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in run[_POOL_SIZE:]:
-        h = _absorb(pool, word, h)
-    mixer = [np.full(hi - lo, word, dtype=np.uint32) for word in pool]
-    _absorb(mixer, np.arange(lo, hi, dtype=np.uint32), h)
+    words = (master_seed.bit_length() + 31) // 32
+    h = _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _MASK32
+    index = np.arange(lo, hi, dtype=np.uint32)
+    mixer = []
+    for word in np.random.SeedSequence(master_seed).pool.tolist():
+        hashed, h = _hashmix(index, h)
+        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * hashed
+        mixer.append(mixed ^ mixed >> 16)
     state = []
     h = _INIT_B
     for i in range(8):
-        word, h = _hashmix(mixer[i % _POOL_SIZE], h, _MULT_B)
+        word, h = _hashmix(mixer[i % 4], h, _MULT_B)
         state.append(word)
     return np.stack(state, axis=1).astype("<u4").view("<u8")
 

@@ -269,22 +269,34 @@ def test_run_sk_thread_invariance(traj_std, monkeypatch):
     assert 0.0 < err_one < 1.0
     # each batch's draws split over 1 and 4 threads, forced on at 64 x 300
     monkeypatch.setattr(simulate, "SPLIT_WORK", 0)
-    fill_trial = simulate._fill_trial
-    drawers = set()
+    on_cpus = simulate._on_cpus
+    batches = []
 
-    def spy_draw(*args):
-        drawers.add(threading.get_ident())
-        return fill_trial(*args)
+    def spy_on_cpus(work, parts):
+        ran = []  # (part, thread) for each part of this batch
+        batches.append(ran)
 
-    monkeypatch.setattr(simulate, "_fill_trial", spy_draw)
+        def traced(part):
+            ran.append((part, threading.get_ident()))
+            work(part)
+
+        on_cpus(traced, parts)
+
+    monkeypatch.setattr(simulate, "_on_cpus", spy_on_cpus)
+    caller = threading.get_ident()
     for width in (1, 4):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: width)
-        drawers.clear()
+        batches.clear()
         split = run_sk_scheme(P_STD, cfg, traj_std)
-        assert drawers == {threading.get_ident()} if width == 1 else len(drawers) >= width
+        # _on_cpus promises part 0 on the calling thread and the others on
+        # helpers; a helper may run several parts, so threads are not counted
+        assert len(batches) == math.ceil(cfg.trials / simulate.BATCH_SIZE)
+        for ran in batches:
+            assert sorted(part for part, _ in ran) == list(range(width))
+            assert all((thread == caller) == (part == 0) for part, thread in ran)
         assert np.array_equal(one.mmse_emp, split.mmse_emp)
         assert decode_message(P_STD, dcfg, traj_std, grid_size=64) == err_one
-    monkeypatch.setattr(simulate, "_fill_trial", fill_trial)
+    monkeypatch.setattr(simulate, "_on_cpus", on_cpus)
     # two threads fill the batch buffers with each trial's own draws
     lo, hi, messages = 3, 70, 64
     th0, zeta0, xi1, xi2, sent = simulate._draw_batch(cfg.master_seed, lo, hi, cfg.steps,
@@ -469,8 +481,8 @@ def _contract_draws(seed, steps, messages):
 SEED_WINDOWS = [(0, 70), (2**32 - 4, 2**32)]
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1,
-                                         2**200 + 3])
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96,
+                                         2**128 - 1, 2**128 + 1, 2**200 + 3])
 def test_seed_words_and_draws_match_numpy(master_seed):
     # every trial's PCG64 state comes from one vectorised pass over the
     # window; it must be numpy's own, up to the last trial index and for
@@ -503,7 +515,8 @@ def test_draws_follow_the_contracts_spawned_children():
 
 def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
     # each drawing thread builds one PCG64 for its batch and reseeds it per
-    # trial from the batch's seed words; no SeedSequence is built at all
+    # trial from the batch's seed words; a batch builds at most one
+    # SeedSequence, SeedSequence(master_seed) for its pool, and no trial one
     made, seeded = [], []
 
     # named PCG64, since the state setter checks the class name
@@ -515,7 +528,7 @@ def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
     real_seed_sequence = np.random.SeedSequence
 
     def counted_seed_sequence(*args, **kwargs):
-        seeded.append(args)
+        seeded.append((args, kwargs))
         return real_seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "PCG64", PCG64)
@@ -529,13 +542,17 @@ def test_no_generator_is_set_up_per_trial(traj_std, monkeypatch):
         for run in (lambda: run_sk_scheme(P_STD, cfg, traj_std),
                     lambda: decode_message(P_STD, cfg, traj_std, grid_size=16)):
             made.clear()
+            seeded.clear()
             run()
             assert made.count(threading.get_ident()) == batches
             assert len(made) <= batches * width
+            assert len(seeded) <= batches
+            assert seeded == [((cfg.master_seed,), {})] * len(seeded)
     made.clear()
+    seeded.clear()
     stationary_arma_noise(ChannelParams(-0.7, 1.0, 1.0), cfg)
     assert made == [threading.get_ident()]
-    assert seeded == []
+    assert seeded == [((cfg.master_seed,), {})]
 
 
 def test_noise_sampler_draws_one_row_per_trial(monkeypatch):
