@@ -44,12 +44,11 @@ class AbelCoefficients:
     """Time-dependent coefficients p(t), q(t) with their limits and the
     power budget P.
 
-    p and q map a float t to a float.  The integrator calls them about a
-    thousand times per trajectory, so math, not numpy, keeps it fast.
+    pq maps a float t to the float pair (p(t), q(t)).  The stepper calls it
+    once per stage, six times per step, so math, not numpy, keeps it fast.
     """
 
-    p: Callable
-    q: Callable
+    pq: Callable
     p_limit: float
     q_limit: float
     power: float
@@ -61,17 +60,19 @@ class AbelCoefficients:
 
 def abel_from_kernel(kernel: SeparableKernel, power: float) -> AbelCoefficients:
     """Coefficients p = -l_d'/l_d, q = (l_u + l_d')/l_d for a separable
-    kernel, using its overflow-safe ratio callables.
+    kernel, from one call of its overflow-safe ratio pair.
 
     Limits: p_limit = -beta, q_limit = alpha + beta.  Like the kernel's
-    ratio callables, p and q take and return one float.
+    ratio pair, pq takes one float and returns two.
     """
-    return AbelCoefficients(
-        p=lambda t: -kernel.ld_prime_over_ld(t),
-        q=lambda t: kernel.lu_over_ld(t) + kernel.ld_prime_over_ld(t),
-        p_limit=-kernel.beta,
-        q_limit=kernel.alpha + kernel.beta,
-        power=power)
+    ratios = kernel.ratios
+
+    def pq(t):
+        lu, ldp = ratios(t)
+        return -ldp, lu + ldp
+
+    return AbelCoefficients(pq=pq, p_limit=-kernel.beta, q_limit=kernel.alpha + kernel.beta,
+                            power=power)
 
 
 def abel_for_channel(params: ChannelParams) -> AbelCoefficients:
@@ -199,23 +200,21 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
     """
     P = power
     rtol, atol = 1e-10, 1e-12
-
-    def rms(a: float, b: float) -> float:
-        return math.hypot(a, b) / SQRT2
+    hypot, ulp = math.hypot, math.ulp
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     t, g, s = 0.0, g0, 0.0
     kg = f(t, g)
     ks = P * g * g
     sc_g, sc_s = atol + abs(g) * rtol, atol + abs(s) * rtol
-    d0 = rms(g / sc_g, s / sc_s)
-    d1 = rms(kg / sc_g, ks / sc_s)
+    d0 = hypot(g / sc_g, s / sc_s) / SQRT2
+    d1 = hypot(kg / sc_g, ks / sc_s) / SQRT2
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
     if not h0 > 0.0:
         raise StepSizeUnderflow(f"initial ODE step {h0!r} is not positive")
     g1 = g + h0 * kg
-    d2 = rms((f(h0, g1) - kg) / sc_g, (P * g1 * g1 - ks) / sc_s) / h0
+    d2 = hypot((f(h0, g1) - kg) / sc_g, (P * g1 * g1 - ks) / sc_s) / SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -232,7 +231,7 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
     e0, e2, e3, e4, e5, e6 = _E
     attempts = 0
     while t < t_bound:
-        min_step = 10.0 * math.ulp(t)
+        min_step = 10.0 * ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -266,8 +265,8 @@ def _dormand_prince(f, power: float, g0: float, t_bound: float):
             err_g = h * (e0 * kg + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6)
             err_s = h * (e0 * ks + e2 * ks2 + e3 * ks3 + e4 * ks4 + e5 * ks5
                          + e6 * ks6)
-            err = rms(err_g / (atol + max(abs(g), abs(g_new)) * rtol),
-                      err_s / (atol + max(abs(s), abs(s_new)) * rtol))
+            err = hypot(err_g / (atol + max(abs(g), abs(g_new)) * rtol),
+                        err_s / (atol + max(abs(s), abs(s_new)) * rtol)) / SQRT2
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
                 if rejected:
@@ -299,18 +298,16 @@ def solve_abel(coeffs: AbelCoefficients, horizon: float) -> AbelSolution:
     if coeffs.power <= 0:
         raise ValueError("power must be positive to integrate the scheme")
 
-    P = coeffs.power
-    p, q = coeffs.p, coeffs.q
-    half_p = P / SQRT2
-    isfinite = math.isfinite
+    P, pq, isfinite = coeffs.power, coeffs.pq, math.isfinite
+    neg_p, half_p, sqrt2 = -P, P / SQRT2, SQRT2
 
     def rhs(t, g):
         try:
-            pt, qt = p(t), q(t)
+            pt, qt = pq(t)
         except ZeroDivisionError:
             # math floats raise where numpy would return inf
             raise StepSizeUnderflow(f"coefficient divides by zero at t={t}") from None
-        d = -P * g * g * g + half_p * g * g + pt * g + qt / SQRT2
+        d = neg_p * g * g * g + half_p * g * g + pt * g + qt / sqrt2
         if not isfinite(d):
             # raise here: the step controller would otherwise shrink the
             # step forever without ever reporting failure
@@ -391,8 +388,8 @@ def _reached_root(sol: AbelSolution) -> RootConvergence:
     case, roots = limiting_cubic_roots(coeffs)
     i = min(range(len(roots)), key=lambda k: abs(roots[k] - g))
     if len(roots) > 1:
-        ps = sorted((coeffs.p(T), coeffs.p_limit))
-        qs = sorted((coeffs.q(T), coeffs.q_limit))
+        p_T, q_T = coeffs.pq(T)
+        ps, qs = sorted((p_T, coeffs.p_limit)), sorted((q_T, coeffs.q_limit))
         bound = limiting_cubic_roots(replace(coeffs, p_limit=ps[i == 0], q_limit=qs[i == 0]))[1]
         if not (i in (0, len(roots) - 1) and g > 0.0 and qs[0] >= 0.0 and len(bound) == 3
                 and (g < bound[1] if i == 0 else g > bound[1])):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .channel import CapacityResult, ChannelParams, Regime, Route, classify_regime
 from .errors import InvalidArma, NotConverged
@@ -97,29 +97,26 @@ def feedback_capacity_closed_form(params: ChannelParams) -> CapacityResult:
                           residual=max(math.ldexp(step, k), 4.0 * math.ulp(value)))
 
 
-def _sgn(x: float) -> float:
-    return float(x > 0.0) - float(x < 0.0)
-
-
-def _quartic_residual(x: float, arma: ArmaParams) -> float:
-    """Cleared-denominator capacity polynomial for the ARMA(1,1) model.
+def _quartic_residual(arma: ArmaParams) -> Callable[[float], float]:
+    """Cleared-denominator capacity polynomial for the ARMA(1,1) model, as a
+    function of x with the model's constants and branch sign fixed.
 
     Negative at x -> 0+ and positive at x = 1 (for power > 0), so bisection
     on (0, 1) is always bracketed.  (1-x^2) is evaluated as (1-x)(1+x): the
     root sits within O(delta) of 1 in the small-step limit and the factored
     form keeps full precision there.
     """
-    P = arma.power
-    one_minus_x2 = (1.0 - x) * (1.0 + x)
-    if abs(arma.theta) <= 1.0:
-        s = _sgn(arma.phi - arma.theta)
-        lhs = P * x * x * (1.0 + s * arma.phi * x) ** 2
-        rhs = one_minus_x2 * (1.0 + s * arma.theta * x) ** 2
-    else:
-        s = _sgn(arma.phi - 1.0 / arma.theta)
-        lhs = P * x * x * (1.0 + s * arma.phi * x) ** 2
-        rhs = one_minus_x2 * (arma.theta + s * x) ** 2
-    return lhs - rhs
+    P, phi, theta = arma.power, arma.phi, arma.theta
+    small = abs(theta) <= 1.0
+    gap = phi - (theta if small else 1.0 / theta)
+    s = float(gap > 0.0) - float(gap < 0.0)
+    # s * phi * x is (s * phi) * x, so the products with s are taken once
+    s_phi, s_theta = s * phi, s * theta
+    if small:
+        return lambda x: (P * x * x * (1.0 + s_phi * x) ** 2
+                          - (1.0 - x) * (1.0 + x) * (1.0 + s_theta * x) ** 2)
+    return lambda x: (P * x * x * (1.0 + s_phi * x) ** 2
+                      - (1.0 - x) * (1.0 + x) * (theta + s * x) ** 2)
 
 
 def solve_arma_quartic(arma: ArmaParams) -> tuple[float, float]:
@@ -136,7 +133,7 @@ def solve_arma_quartic(arma: ArmaParams) -> tuple[float, float]:
         return 1.0, 0.0
     # denominators (1+s*phi*x) never vanish on (0,1] since |phi|<1, so the
     # cleared polynomial has the same root; bracket is [~0, 1].
-    x0 = bracketed_root(lambda x: _quartic_residual(x, arma), 1e-300, 1.0)
+    x0 = bracketed_root(_quartic_residual(arma), 1e-300, 1.0)
     cap = -math.log(x0)
     return x0, cap
 

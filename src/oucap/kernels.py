@@ -12,7 +12,7 @@ family.  This module builds the channel's l, samples kernels on uniform
 grids, recovers h from l in panels of BLAS products, and measures the
 identity residual (using the *other* line of the identity than the solver, so
 the round trip is a genuine cross-check).  The resolvent kernel's ratio
-callables, all the ODE route reads, are plain math: numpy is imported only
+pair, all the ODE route reads, is plain math: numpy is imported only
 where a grid is built or sampled.
 """
 
@@ -33,8 +33,8 @@ class SeparableKernel:
     """Kernel l(s,u) = l_u(u) / l_d(s) with its large-time ratio limits.
 
     alpha = lim l_u(t)/l_d(t), beta = lim l_d'(t)/l_d(t).  l_u and l_d take
-    arrays of times.  The ratio callables map a float t to the float
-    l_u(t)/l_d(t) or l_d'(t)/l_d(t), in overflow-safe form (the raw factors
+    arrays of times.  ratios maps a float t to the float pair
+    (l_u(t)/l_d(t), l_d'(t)/l_d(t)), in overflow-safe form (the raw factors
     grow exponentially for this family).
     """
 
@@ -42,8 +42,7 @@ class SeparableKernel:
     l_d: Callable
     alpha: float
     beta: float
-    lu_over_ld: Callable
-    ld_prime_over_ld: Callable
+    ratios: Callable
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,11 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     ZeroDivisionError there (solve_abel reports StepSizeUnderflow).
     alpha and beta follow the large-time limits of l_u/l_d and l_d'/l_d.
 
-    The ratio callables are algebraically normalized so they stay finite
-    for arbitrarily large t (the raw factors overflow near t ~ 700/|k+l|).
-    They take and return one float, computed with math: the ODE integrator
-    calls them about a thousand times per trajectory.  l_u and l_d take
-    arrays, for sample_kernel's grids.
+    The ratio pair is algebraically normalized so it stays finite for
+    arbitrarily large t (the raw factors overflow near t ~ 700/|k+l|).  It
+    takes one float and returns two, computed with math and sharing their
+    exponential: the ODE stepper calls it six times per step.  l_u and l_d
+    take arrays, for sample_kernel's grids.
     """
     lam, kap = params.lam, params.kappa
     a = kap + lam
@@ -115,10 +114,11 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
 
             return kap * np.asarray(s, dtype=float) + 2.0
 
-        return SeparableKernel(
-            l_u=l_u, l_d=l_d, alpha=kap, beta=0.0,
-            lu_over_ld=lambda t: kap * (kap * t + 1.0) / (kap * t + 2.0),
-            ld_prime_over_ld=lambda t: kap / (kap * t + 2.0))
+        def ratios(t):
+            d = kap * t + 2.0
+            return kap * (kap * t + 1.0) / d, kap / d
+
+        return SeparableKernel(l_u=l_u, l_d=l_d, alpha=kap, beta=0.0, ratios=ratios)
     b = 2.0 * kap + lam
 
     def l_u(u):
@@ -140,17 +140,15 @@ def ou_resolvent_kernel(params: ChannelParams) -> SeparableKernel:
     # |kappa + lam|, and its w -> 0.
     c = abs(a)
     m, n = (lam, b) if a > 0.0 else (-b, -lam)
+    # taken once, but n * n may underflow to 0: ratios divides by it, and raises
+    exp, rate, m2_n, m2, n2 = math.exp, -2.0 * c, m * m / n, m * m, n * n
 
-    def lu_over_ld(t):
-        e = math.exp(-2.0 * c * t)
-        return (m + (m * m / n) * e) / ((m * m / (n * n)) * e - 1.0)
+    def ratios(t):
+        e = exp(rate * t)
+        w = (m2 / n2) * e
+        return (m + m2_n * e) / (w - 1.0), -c * (w + 1.0) / (w - 1.0)
 
-    def ld_prime_over_ld(t):
-        w = (m * m / (n * n)) * math.exp(-2.0 * c * t)
-        return -c * (w + 1.0) / (w - 1.0)
-
-    return SeparableKernel(l_u=l_u, l_d=l_d, alpha=-m, beta=c,
-                           lu_over_ld=lu_over_ld, ld_prime_over_ld=ld_prime_over_ld)
+    return SeparableKernel(l_u=l_u, l_d=l_d, alpha=-m, beta=c, ratios=ratios)
 
 
 def sample_kernel(kernel: SeparableKernel, horizon: float, n: int) -> GridKernel:

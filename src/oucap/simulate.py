@@ -541,12 +541,12 @@ def _on_cpus(work, parts: int) -> None:
 
 def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
                 out_idx: np.ndarray, messages: int = 0,
-                innov_rows: np.ndarray | None = None):
+                innov_rows: np.ndarray | None = None, points: np.ndarray | None = None):
     """Filter all cfg.trials trials, BATCH_SIZE at a time; the one batch loop.
 
     The plan comes from _prepare_scheme, so a call on the channel, grid and
     trajectory of the last one reuses its plan.  Trial i sends its
-    standard-normal Theta0 or, given `messages`, the point (_message_point)
+    standard-normal Theta0 or, given `messages`, the point (_message_points)
     of the message index 1..messages it draws after its noise block.  The
     batches run one after another on the calling thread, each drawn in the
     parts _parts gives its trials and steps, so one batch of draws is alive
@@ -555,7 +555,7 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     rows of the squared error at out_idx, terminal estimates, message
     indices); per-trial rows make results independent of batching and
     threads.
-    innov_rows, if given, receives the standardized innovations.
+    innov_rows and points, if given, receive the standardized innovations and Theta0.
     """
     n = cfg.steps
     trials = cfg.trials
@@ -563,12 +563,15 @@ def _run_trials(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     sq_rows = np.empty((trials, out_idx.size))
     mtheta = np.empty(trials)
     sent = np.empty(trials, dtype=np.int64)
+    point = _message_points(messages) if messages else None
     for lo in range(0, trials, BATCH_SIZE):
         hi = min(lo + BATCH_SIZE, trials)
         th0, zeta0, xi1, xi2, sent[lo:hi] = _draw_batch(cfg.master_seed, lo, hi, n,
                                                         messages, _parts(hi - lo, n))
         if messages:
-            th0 = np.array([_message_point(w, messages) for w in sent[lo:hi].tolist()])
+            th0 = np.array([point(w) for w in sent[lo:hi].tolist()])
+            if points is not None:
+                points[lo:hi] = th0
         zeta0 = zeta0 * scheme.zeta_scale
         innov = None if innov_rows is None else innov_rows[lo:hi]
         _sk_numpy.filter_batch(th0, zeta0, xi1, xi2, *scheme.coeffs,
@@ -621,19 +624,20 @@ def run_sk_scheme(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     )
 
 
-def _message_point(w: int, messages: int) -> float:
-    """Message w's point, the normal quantile Phi^{-1}((w - 1/2)/messages)."""
+def _message_points(messages: int):
+    """Map message w to its point Phi^{-1}((w - 1/2)/messages), on one NormalDist."""
     from statistics import NormalDist
 
-    return NormalDist().inv_cdf((w - 0.5) / messages)
+    inv_cdf = NormalDist().inv_cdf
+    return lambda w: inv_cdf((w - 0.5) / messages)
 
 
-def _decodes(w: int, estimate: float, messages: int) -> bool:
-    """Whether `estimate` is nearer message w's point than the one below and
-    no farther than the one above: the nearest point, ties to the lower."""
-    gap = abs(_message_point(w, messages) - estimate)
-    return ((w == 1 or gap < abs(_message_point(w - 1, messages) - estimate))
-            and (w == messages or gap <= abs(_message_point(w + 1, messages) - estimate)))
+def _decodes(w: int, own: float, estimate: float, messages: int, point) -> bool:
+    """Whether `estimate` is nearer message w's point `own` than point(w - 1)
+    and no farther than point(w + 1): the nearest point, ties to the lower."""
+    gap = abs(own - estimate)
+    return ((w == 1 or gap < abs(point(w - 1) - estimate))
+            and (w == messages or gap <= abs(point(w + 1) - estimate)))
 
 
 def decode_message(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
@@ -653,8 +657,11 @@ def decode_message(params: ChannelParams, cfg: SimConfig, traj: AbelSolution,
     if m_size == 1:
         return 0.0
     _check_memory(cfg)
-    _, _, mtheta, sent = _run_trials(params, cfg, traj, np.array([cfg.steps]), messages=m_size)
-    decoded = sum(_decodes(w, est, m_size) for w, est in zip(sent.tolist(), mtheta.tolist()))
+    point, points = _message_points(m_size), np.empty(cfg.trials)
+    _, _, mtheta, sent = _run_trials(params, cfg, traj, np.array([cfg.steps]), messages=m_size,
+                                     points=points)
+    decoded = sum(_decodes(w, own, est, m_size, point)
+                  for w, own, est in zip(sent.tolist(), points.tolist(), mtheta.tolist()))
     return (cfg.trials - decoded) / cfg.trials
 
 

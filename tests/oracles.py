@@ -479,8 +479,8 @@ def abel_solve_ivp(coeffs, horizon: float, step: float):
 
     def rhs(t, y):
         g = y[0]
-        return (-power * g ** 3 + (power / root2) * g * g
-                + coeffs.p(t) * g + coeffs.q(t) / root2, power * g * g)
+        p, q = coeffs.pq(t)
+        return (-power * g ** 3 + (power / root2) * g * g + p * g + q / root2, power * g * g)
 
     times = np.linspace(0.0, horizon, int(math.ceil(horizon / step)) + 1)
     sol = solve_ivp(rhs, (0.0, horizon), (1.0 / root2, 0.0), method="RK45",
@@ -537,6 +537,4 @@ def scaled_kernel(kernel: SeparableKernel, c: float) -> SeparableKernel:
     return SeparableKernel(
         l_u=lambda t: c * kernel.l_u(t),
         l_d=lambda t: c * kernel.l_d(t),
-        alpha=kernel.alpha, beta=kernel.beta,
-        lu_over_ld=kernel.lu_over_ld,
-        ld_prime_over_ld=kernel.ld_prime_over_ld)
+        alpha=kernel.alpha, beta=kernel.beta, ratios=kernel.ratios)

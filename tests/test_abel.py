@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,7 @@ SQRT2 = math.sqrt(2.0)
 
 def constant_coefficients(p_val, q_val, power):
     return AbelCoefficients(
-        p=lambda t: p_val + 0.0 * np.asarray(t),
-        q=lambda t: q_val + 0.0 * np.asarray(t),
+        pq=lambda t: (p_val, q_val),
         p_limit=p_val,
         q_limit=q_val,
         power=power,
@@ -73,21 +73,23 @@ def test_channel_coefficients_limits():
     assert coeffs.p_limit == pytest.approx(-1.0)
     assert coeffs.q_limit == pytest.approx(1.0)
     for t in (5.0, 20.0, 35.0):
-        assert np.allclose(coeffs.p(t), coeffs.p_limit, atol=1e-4)
-        assert np.allclose(coeffs.q(t), coeffs.q_limit, atol=1e-4)
+        p, q = coeffs.pq(t)
+        assert p == pytest.approx(coeffs.p_limit, abs=1e-4)
+        assert q == pytest.approx(coeffs.q_limit, abs=1e-4)
 
 
 def test_coefficient_limits_attained_for_offset_coloring():
     for lam in (-0.5, -1.5, 0.8):
         coeffs = abel_for_channel(ChannelParams(lam, 1.0, 1.0))
-        assert coeffs.p(1e3) == pytest.approx(coeffs.p_limit, abs=1e-6)
-        assert coeffs.q(1e3) == pytest.approx(coeffs.q_limit, abs=1e-6)
+        p, q = coeffs.pq(1e3)
+        assert p == pytest.approx(coeffs.p_limit, abs=1e-6)
+        assert q == pytest.approx(coeffs.q_limit, abs=1e-6)
 
 
 def test_coefficient_limits_slow_at_critical_coloring():
     # at lam = -kappa the coefficients decay like 1/t; document the gap size
     coeffs = abel_for_channel(ChannelParams(-1.0, 1.0, 1.0))
-    gap = abs(coeffs.p(1e3) - coeffs.p_limit)
+    gap = abs(coeffs.pq(1e3)[0] - coeffs.p_limit)
     assert 1e-4 < gap < 2e-3
 
 
@@ -252,9 +254,12 @@ def test_ode_route_residual_bounds_its_error_on_colored_channels(ratio, log10_ka
 def limit_by_radau(coeffs, horizon):
     # scipy's implicit Radau on g alone, independent of the library's stepper
     P = coeffs.power
-    sol = solve_ivp(lambda t, y: [-P * y[0] ** 3 + (P / SQRT2) * y[0] ** 2
-                                  + coeffs.p(t) * y[0] + coeffs.q(t) / SQRT2],
-                    (0.0, horizon), [1.0 / SQRT2], method="Radau", rtol=1e-10, atol=1e-12)
+
+    def rhs(t, y):
+        p, q = coeffs.pq(t)
+        return [-P * y[0] ** 3 + (P / SQRT2) * y[0] ** 2 + p * y[0] + q / SQRT2]
+
+    sol = solve_ivp(rhs, (0.0, horizon), [1.0 / SQRT2], method="Radau", rtol=1e-10, atol=1e-12)
     assert sol.success, sol.message
     return float(sol.y[0][-1])
 
@@ -288,7 +293,7 @@ def test_double_root_is_certified_from_its_attracting_side_only():
     assert limit_by_radau(coeffs, 50.0) == pytest.approx(conv.root, rel=1e-9)
     # p = -10 e^{-t}, q = 0: g falls to about 3e-5 and then creeps away from
     # the double root 0 like 1/t, which no trap certifies
-    creeping = AbelCoefficients(p=lambda t: -10.0 * math.exp(-t), q=lambda t: 0.0,
+    creeping = AbelCoefficients(pq=lambda t: (-10.0 * math.exp(-t), 0.0),
                                 p_limit=0.0, q_limit=0.0, power=2.0)
     with pytest.raises(NotConverged, match="not trapped"):
         classify_root_convergence(creeping, 50.0)
@@ -398,8 +403,7 @@ def test_integrate_abel_validation():
 
 def test_non_finite_coefficients_raise_step_underflow():
     bad = AbelCoefficients(
-        p=lambda t: np.full_like(np.asarray(t, dtype=float), np.nan),
-        q=lambda t: 0.0 * np.asarray(t),
+        pq=lambda t: (math.nan, 0.0),
         p_limit=0.0,
         q_limit=0.0,
         power=2.0,
@@ -418,7 +422,7 @@ def test_kappa_far_below_lambda_raises_step_underflow(lam, kappa):
 
 def test_huge_coefficient_raises_step_underflow():
     # the initial-step rule divides by a step that underflows to 0 here
-    bad = AbelCoefficients(p=lambda t: -1e300, q=lambda t: 0.0,
+    bad = AbelCoefficients(pq=lambda t: (-1e300, 0.0),
                            p_limit=-1e300, q_limit=0.0, power=2.0)
     with pytest.raises(StepSizeUnderflow, match="initial"):
         integrate_abel(bad, horizon=10.0, step=0.05)
@@ -428,8 +432,7 @@ def test_singular_coefficient_raises_step_underflow():
     # q grows like (1 - t)^-2: the right-hand side stays finite below t = 1
     # while the step shrinks onto the float spacing there
     bad = AbelCoefficients(
-        p=lambda t: 0.0 * t,
-        q=lambda t: 1.0 / (1.0 - t) ** 2 if t != 1.0 else math.inf,
+        pq=lambda t: (0.0 * t, 1.0 / (1.0 - t) ** 2 if t != 1.0 else math.inf),
         p_limit=0.0,
         q_limit=0.0,
         power=2.0,
@@ -442,8 +445,7 @@ def test_overflowing_solution_raises_step_underflow():
     # a huge jump in q drives g past the float range within one step; the
     # cube must overflow to inf and be reported, not raise OverflowError
     bad = AbelCoefficients(
-        p=lambda t: 0.0 * t,
-        q=lambda t: 0.0 if t < 1.0 else 1e300,
+        pq=lambda t: (0.0 * t, 0.0 if t < 1.0 else 1e300),
         p_limit=0.0,
         q_limit=0.0,
         power=2.0,
@@ -458,8 +460,7 @@ def test_mirror_symmetry_of_channel_coefficients():
         a = abel_for_channel(ChannelParams(lam, kappa, 2.0))
         b = abel_for_channel(ChannelParams(-2.0 * kappa - lam, kappa, 2.0))
         for t in np.linspace(0.0, 30.0, 61).tolist():
-            assert np.allclose(a.p(t), b.p(t), rtol=1e-12, atol=1e-12)
-            assert np.allclose(a.q(t), b.q(t), rtol=1e-12, atol=1e-12)
+            assert np.allclose(a.pq(t), b.pq(t), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("lam,kappa", [
@@ -477,7 +478,7 @@ def test_channel_q_is_kappa_and_p_limit_is_minus_rate_gap(lam, kappa):
     # is the closed form's P(x+kappa)^2 = 2x(x+|kappa+lam|)^2 at x = P y^2
     coeffs = abel_for_channel(ChannelParams(lam, kappa, 2.0))
     t = np.linspace(0.0, 60.0, 601)
-    assert max(abs(coeffs.q(float(s)) - kappa) for s in t) <= 1e-13 * kappa
+    assert max(abs(coeffs.pq(float(s))[1] - kappa) for s in t) <= 1e-13 * kappa
     assert abs(coeffs.q_limit - kappa) <= 1e-13 * kappa
     assert coeffs.p_limit == -abs(kappa + lam)
 
@@ -489,8 +490,7 @@ def test_kernel_factorization_scale_invariance_of_coefficients():
     for c in (2.0, 10.0):
         scaled = abel_from_kernel(scaled_kernel(kernel, c), params.power)
         for t in np.linspace(0.0, 20.0, 41).tolist():
-            assert base.p(t) == scaled.p(t)
-            assert base.q(t) == scaled.q(t)
+            assert base.pq(t) == scaled.pq(t)
         assert scaled.p_limit == base.p_limit
         assert scaled.q_limit == base.q_limit
 
@@ -519,18 +519,36 @@ def test_integrate_abel_matches_solve_ivp_oracle(lam, kappa, power):
         assert abs(value - power * float(abel_solve_ivp(coeffs, 50.0, 0.05)[0][-1]) ** 2) < 1e-9
 
 
+# (-0.5, 1, 2) to horizon 50 takes 182 steps, none rejected
+ATTEMPTS_AT_50 = 182
+
+
 def test_step_budget_counts_attempts_and_keeps_the_bits(monkeypatch):
-    # (-0.5, 1, 2) to horizon 50 takes 182 steps, none rejected: a budget of
-    # exactly 182 attempts gives the same trajectory, bit for bit, and one
-    # fewer gives up with NotConverged
+    # a budget of exactly ATTEMPTS_AT_50 attempts gives the same trajectory,
+    # bit for bit, and one fewer gives up with NotConverged
     coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 2.0))
     free = integrate_abel(coeffs, horizon=50.0, step=0.05)
-    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 182)
+    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", ATTEMPTS_AT_50)
     capped = integrate_abel(coeffs, horizon=50.0, step=0.05)
     assert np.array_equal(free.g, capped.g) and np.array_equal(free.log_a, capped.log_a)
-    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", 181)
+    monkeypatch.setattr(abel, "_MAX_ATTEMPTS", ATTEMPTS_AT_50 - 1)
     with pytest.raises(NotConverged, match="stability limit"):
         integrate_abel(coeffs, horizon=50.0, step=0.05)
+
+
+def test_solve_abel_evaluates_the_coefficients_once_per_stage():
+    # the initial-step rule evaluates the right-hand side twice and each
+    # attempted step six times, one coefficient pair each
+    coeffs = abel_for_channel(ChannelParams(-0.5, 1.0, 2.0))
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return coeffs.pq(t)
+
+    sol = solve_abel(replace(coeffs, pq=counted), 50.0)
+    assert len(calls) == 2 + 6 * ATTEMPTS_AT_50
+    assert sol.steps == solve_abel(coeffs, 50.0).steps
 
 
 def test_accepted_steps_are_stored_as_doubles(monkeypatch):
@@ -600,10 +618,23 @@ TRAJECTORY_SHA256 = {
     (0.5, 1.0, 2.0): (  # white-equivalent
         "13f9d74e72a3136669e4009cfa1317beddb438b7875103791640259634596590",
         "4333c31fdca612e673d6e05b977b382d7c2ddbdf2909743282d4f0ab944f3bce"),
+    # the two boundaries share their coefficients (p = -1, q = 1): g rests
+    # at its fixed point 1/sqrt(2)
+    (0.0, 1.0, 2.0): (
+        "c906e462e25afd0894f02ead07a6ce7486e098da54879646fd6eb5f2117c438e",
+        "307875b4694bf69af3d766ea7c18105f10640e183f3e8b74360dce09a148e2e2"),
+    (-2.0, 1.0, 2.0): (
+        "c906e462e25afd0894f02ead07a6ce7486e098da54879646fd6eb5f2117c438e",
+        "307875b4694bf69af3d766ea7c18105f10640e183f3e8b74360dce09a148e2e2"),
+    (-0.5, 1.0, 1e3): (  # colored at high power: 7758 steps
+        "0cf4d3d792b8f81ef9735e92c8bcbada4872d92060432bc468a4c1ff442387cd",
+        "a3f8b7b9350277cb3d4939e34fbac25120f7a5d94bc3ee4167dbef5640767564"),
 }
 
 
-@pytest.mark.parametrize("channel", list(TRAJECTORY_SHA256), ids=["colored", "critical", "white"])
+@pytest.mark.parametrize("channel", list(TRAJECTORY_SHA256),
+                         ids=["colored", "critical", "white", "boundary_zero",
+                              "boundary_two_kappa", "power_1e3"])
 def test_sampled_trajectory_bits_are_pinned(channel):
     coeffs = abel_for_channel(ChannelParams(*channel))
     traj = integrate_abel(coeffs, horizon=50.0, step=0.05)

@@ -278,6 +278,27 @@ def test_discrete_limit_residual_bounds_its_error_at_the_largest_power_it_takes(
     assert abs(result.value - capacity_cubic_exact(-0.5, 1.0, 1e3)) <= result.residual
 
 
+# float.hex of discrete_limit_capacity's value and residual on the default
+# sweep, one channel per class of the benchmark's route sweep, both branches
+# of the ARMA quartic among them (|theta| > 1 below -2 kappa)
+DISCRETE_HEX = {
+    (-0.5, 1.0, 2.0): ("0x1.8c43f4a90528cp+0", "0x1.67f0db1000000p-23"),  # colored
+    (0.8, 1.0, 2.0): ("0x1.0000000e40d64p+0", "0x1.ed415b0000000p-28"),  # white, above
+    (0.0, 1.0, 2.0): ("0x1.ffffff346e24ep-1", "0x1.b80429a000000p-25"),  # boundary 0
+    (-2.6, 1.0, 2.0): ("0x1.fffff942d33e2p-1", "0x1.d1d57cb000000p-22"),  # white, below
+    (-2.0, 1.0, 2.0): ("0x1.fffffcf813816p-1", "0x1.a30fbe9800000p-23"),  # boundary -2 kappa
+    (-1.0, 1.0, 2.0): ("0x1.12ee5989d2851p+1", "0x1.9d9ce90000000p-22"),  # critical
+}
+
+
+@pytest.mark.parametrize("channel", list(DISCRETE_HEX),
+                         ids=["colored", "white_above", "boundary_zero", "white_below",
+                              "boundary_two_kappa", "critical"])
+def test_discrete_limit_bits_are_pinned(channel):
+    result = discrete_limit_capacity(ChannelParams(*channel), DEFAULT_SWEEP_DELTAS)
+    assert (result.value.hex(), result.residual.hex()) == DISCRETE_HEX[channel]
+
+
 def test_discrete_limit_refuses_fewer_than_three_deltas():
     # one or two rates give no Richardson spread, hence no honest error bar:
     # a single delta once returned 1.8136 with residual 0 against 2.1479

@@ -213,7 +213,7 @@ assert sk_rate_from_ode(solve_abel(coeffs, 50.0)).route is Route.ODE_LIMIT
 assert classify_root_convergence(coeffs, 50.0).case
 for params in (colored, ChannelParams(-1.0, 1.0, 2.0)):
     kernel = ou_resolvent_kernel(params)
-    kernel.lu_over_ld(1.0), kernel.ld_prime_over_ld(1.0)
+    kernel.ratios(1.0)
 assert isinstance(noise_sdf(colored, 0.5), float)
 waterfill_bandlimited(colored, 10.0, 2.0)
 flat_input_limit_sweep(colored, (4.0,), (8.0,))

@@ -60,8 +60,7 @@ def test_ou_kernel_limits_match_declared_alpha_beta():
     for lam, kappa in [(-0.5, 1.0), (1.0, 1.0), (-1.7, 1.0), (0.3, 0.7)]:
         kernel = ou_resolvent_kernel(ChannelParams(lam, kappa, 1.0))
         t = 40.0 / kappa
-        assert kernel.lu_over_ld(t) == pytest.approx(kernel.alpha, abs=1e-9)
-        assert kernel.ld_prime_over_ld(t) == pytest.approx(kernel.beta, abs=1e-9)
+        assert kernel.ratios(t) == pytest.approx((kernel.alpha, kernel.beta), abs=1e-9)
 
 
 def test_ou_kernel_alpha_beta_branches():
@@ -86,10 +85,7 @@ def test_ou_kernel_mirror_symmetry_of_ratios():
         a = ou_resolvent_kernel(ChannelParams(lam, kappa, 1.0))
         b = ou_resolvent_kernel(ChannelParams(-2.0 * kappa - lam, kappa, 1.0))
         for t in (0.0, 0.7, 3.0, 25.0):
-            assert a.lu_over_ld(t) == pytest.approx(b.lu_over_ld(t), rel=1e-12, abs=1e-12)
-            assert a.ld_prime_over_ld(t) == pytest.approx(
-                b.ld_prime_over_ld(t), rel=1e-12, abs=1e-12
-            )
+            assert a.ratios(t) == pytest.approx(b.ratios(t), rel=1e-12, abs=1e-12)
 
 
 def test_separable_scaling_leaves_kernel_invariant():
@@ -101,7 +97,7 @@ def test_separable_scaling_leaves_kernel_invariant():
         for s, u in pts:
             assert scaled.l_u(u) / scaled.l_d(s) == pytest.approx(base.l_u(u) / base.l_d(s),
                                                                   rel=1e-12)
-            assert scaled.lu_over_ld(s) == base.lu_over_ld(s)
+            assert scaled.ratios(s) == base.ratios(s)
 
 
 def test_grid_kernel_validation():
@@ -161,15 +157,15 @@ def test_sample_kernel_matches_direct_evaluation():
 
 
 def test_kernel_row_decay_is_bounded():
-    # the normalized ratio callables stay finite far beyond the point where
+    # the normalized ratio pair stays finite far beyond the point where
     # the raw exponential factors overflow, and agree with them while both
     # are representable
     for lam in (-0.5, 1.0, -1.0, -1.9):
         kernel = ou_resolvent_kernel(ChannelParams(lam, 1.0, 1.0))
-        far = [kernel.lu_over_ld(t) for t in (0.0, 1.0, 100.0, 700.0, 1e6)]
+        far = [kernel.ratios(t) for t in (0.0, 1.0, 100.0, 700.0, 1e6)]
         assert np.all(np.isfinite(far))
         for t in (0.0, 1.0, 10.0):
-            assert kernel.l_u(t) / kernel.l_d(t) == pytest.approx(kernel.lu_over_ld(t),
+            assert kernel.l_u(t) / kernel.l_d(t) == pytest.approx(kernel.ratios(t)[0],
                                                                   rel=1e-12)
 
 

@@ -980,8 +980,10 @@ def test_decision_is_the_grid_rule_up_to_two_to_the_forty():
     cases = 0
     for m_size, w, est in _synthetic_decode_cases(random.Random(5)):
         want = lazy_grid_decode(m_size, est)
+        point = simulate._message_points(m_size)
         for v in {want - 1, want, want + 1, w - 1, w, w + 1} - {0, m_size + 1}:
-            assert simulate._decodes(v, est, m_size) == (v == want), (m_size, v, est, want)
+            assert simulate._decodes(v, point(v), est, m_size, point) == (v == want), (
+                m_size, v, est, want)
             cases += 1
     assert cases > 5000
     # the bisection reads the grid as the full array does
